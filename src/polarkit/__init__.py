@@ -9,8 +9,6 @@ from .core import (
     assemble_input,
     bit_reverse_permute,
     crc_append,
-    crc_bits,
-    crc_check,
     encode,
     polar_transform,
 )
@@ -27,13 +25,11 @@ from .construction import (
     tau_inverse,
     verify_reliability_ordering,
 )
-from .channel import NoiseSpec, awgn_llr, bec_llr, frame_rng, noise_sigma2, quantize_llr
+from .channel import awgn_llr, bec_llr, frame_rng, noise_sigma2, quantize_llr
 from .decoder import (
-    DecodeResult,
     ModeConfig,
     aml_expand_prune,
-    decode,
-    decode_batch,
+    decode_frames,
     f_llr,
     g_llr,
     leaf_metrics_rcc,

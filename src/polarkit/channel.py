@@ -7,8 +7,6 @@ frames across workers replays identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import as_bits
@@ -17,23 +15,6 @@ from .core import as_bits
 # large enough to dominate any real LLR, small enough that metric sums over a
 # codeword stay far from overflow.
 BEC_LLR_CLAMP = 1e30
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Channel selection: 'awgn' with Eb/N0 in dB, or 'bec' with erasure prob."""
-
-    channel: str
-    param: float
-    rate_for_snr: float = 1.0
-
-    def __post_init__(self):
-        if self.channel not in ("awgn", "bec"):
-            raise ValueError("channel must be 'awgn' or 'bec'")
-        if self.channel == "bec" and not 0.0 < self.param < 1.0:
-            raise ValueError("erasure probability must lie in (0, 1)")
-        if not 0.0 < self.rate_for_snr <= 1.0:
-            raise ValueError("rate_for_snr must lie in (0, 1]")
 
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -51,26 +32,53 @@ def noise_sigma2(ebno_db: float, rate: float) -> float:
     return 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
 
 
-def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Channel LLRs for codeword x over BPSK-AWGN (bit 0 -> +1, 1 -> -1).
+def check_channel(channel: str, param: float) -> None:
+    """Reject an unknown channel or an erasure probability outside (0, 1)."""
+    if channel not in ("awgn", "bec"):
+        raise ValueError("channel must be 'awgn' or 'bec'")
+    if channel == "bec" and not 0.0 < param < 1.0:
+        raise ValueError("erasure probability must lie in (0, 1)")
 
-    LLR_i = 2 y_i / sigma^2; on the all-zero word the LLRs are Gaussian with
-    mean 2/sigma^2 and variance 4/sigma^2.
+
+def channel_llrs(x, channel: str, param: float, rate: float, rngs) -> np.ndarray:
+    """Channel LLRs for the codeword rows of x; row i's noise comes from rngs[i].
+
+    'awgn': BPSK (bit 0 -> +1, 1 -> -1) at Eb/N0 = param dB and code rate
+    `rate`, LLR_i = 2 y_i / sigma^2, so on the all-zero word the LLRs are
+    Gaussian with mean 2/sigma^2 and variance 4/sigma^2. 'bec': 0 with
+    probability param (erasure probability), else +-inf by the bit; `rate`
+    is not used.
     """
-    x = as_bits(x)
-    sigma2 = noise_sigma2(ebno_db, rate)
-    symbols = 1.0 - 2.0 * x.astype(np.float64)
-    y = symbols + np.sqrt(sigma2) * rng.standard_normal(len(x))
-    return 2.0 * y / sigma2
+    check_channel(channel, param)
+    x = np.asarray(x, dtype=np.uint8)
+    noise = np.empty(x.shape)
+    for rng, row in zip(rngs, noise, strict=True):
+        if channel == "awgn":
+            rng.standard_normal(out=row)
+        else:
+            rng.random(out=row)
+    if channel == "awgn":
+        sigma2 = noise_sigma2(param, rate)
+        y = (1.0 - 2.0 * x.astype(np.float64)) + np.sqrt(sigma2) * noise
+        return 2.0 * y / sigma2
+    return np.where(noise < param, 0.0, np.where(x == 0, np.inf, -np.inf))
+
+
+def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Channel LLRs for one codeword over BPSK-AWGN (see channel_llrs)."""
+    return channel_llrs(as_bits(x)[None, :], "awgn", ebno_db, rate, [rng])[0]
 
 
 def bec_llr(x, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Erasure-channel LLRs: 0 with probability eps, else +-inf by the bit."""
-    x = as_bits(x)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("erasure probability must lie in (0, 1)")
-    known = np.where(x == 0, np.inf, -np.inf)
-    return np.where(rng.random(len(x)) < eps, 0.0, known)
+    """Erasure-channel LLRs for one codeword (see channel_llrs)."""
+    return channel_llrs(as_bits(x)[None, :], "bec", eps, 1.0, [rng])[0]
+
+
+def default_quantize_step(bits: int, rate: float) -> float:
+    """Quantizer step that saturates at about 4 sigma of the AWGN channel LLR
+    at Eb/N0 = 2 dB."""
+    std = 2.0 / np.sqrt(noise_sigma2(2.0, rate))
+    return 4.0 * std / ((1 << (bits - 1)) - 1)
 
 
 def quantize_llr(llr, bits: int, step: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from .construction import (
     select_frozen,
     verify_reliability_ordering,
 )
-from .core import CRC32
+from .core import CRC32, _log2_exact
 from .costs import METHODS, count_ops
 from .decoder import ModeConfig
 from .patterns import (
@@ -44,14 +44,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _log2_or_die(N: int) -> int:
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"code length must be a power of two >= 2, got {N}")
-    return N.bit_length() - 1
-
-
 def _cmd_construct(args) -> int:
-    n = _log2_or_die(args.n)
+    n = _log2_exact(args.n)
     if not 0 < args.k < args.n:
         raise ValueError("K must satisfy 0 < K < N")
     if args.channel == "bec":
@@ -94,6 +88,8 @@ def _cmd_verify_prop1(args) -> int:
     start = Fraction(args.eps_start)
     stop = Fraction(args.eps_stop)
     step = Fraction(args.eps_step)
+    if step <= 0:
+        raise ValueError("--eps-step must be positive")
     grid = []
     e = start
     while e <= stop:
@@ -138,6 +134,8 @@ def _cmd_cost(args) -> int:
 def _parse_points(text: str) -> tuple:
     if ":" in text:
         a, s, b = (float(v) for v in text.split(":"))
+        if s == 0:
+            raise ValueError(f"grid step must be nonzero in {text!r}")
         n = int(round((b - a) / s)) + 1
         return tuple(a + i * s for i in range(n))
     return tuple(float(v) for v in text.split(","))
@@ -150,8 +148,6 @@ def _cmd_simulate(args) -> int:
         if code.crc_width != CRC32.width:
             raise ValueError("only the 32-bit CRC convention is defined for simulation")
         crc = CRC32
-        if code.K <= crc.width:
-            raise ValueError("code lacks CRC capacity (K <= crc width)")
     if (args.snr is None) == (args.eps is None):
         raise ValueError("exactly one of --snr or --eps is required")
     channel = "awgn" if args.snr is not None else "bec"
@@ -169,15 +165,15 @@ def _cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown mode {args.mode!r}")
     if args.L is not None or args.q is not None:
-        cfg = ModeConfig.custom(L=args.L or cfg.L, q=args.q if args.q is not None else cfg.q,
-                                P=1, theta=cfg.theta, **kw)
+        cfg = ModeConfig.custom(L=args.L if args.L is not None else cfg.L, q=args.q,
+                                theta=cfg.theta, **kw)
         cfg.mode = args.mode  # echo the requested label in reports
 
     spec = SweepSpec(channel=channel, points=points, max_frames=args.frames,
                      target_frame_errors=args.target_fe, seed=args.seed,
                      quantize_bits=args.quantize_bits, quantize_step=args.quantize_step)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
-          f"L={cfg.L} q={cfg.q or min(cfg.L, 256)} theta={cfg.effective_theta} | "
+          f"L={cfg.L} q={cfg.q} theta={cfg.effective_theta} | "
           f"Eb/N0 with rate K/N incl CRC | seed={spec.seed}")
     rows = simulate_sweep(code, cfg, spec, crc=crc, batch_frames=args.batch_frames,
                           workers=args.workers,

@@ -203,44 +203,35 @@ def crc_remainder_rows(rows: np.ndarray, spec: CrcSpec = CRC32) -> np.ndarray:
     return (reg ^ np.uint64(spec.xor_out)) & np.uint64((1 << w) - 1)
 
 
-def crc_bits(info, spec: CrcSpec = CRC32) -> Bits:
-    """CRC of a bit sequence, as `spec.width` bits ready to append.
+def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
+    """The `spec.width` CRC bits to append to each row of a bit matrix.
 
     Reflected CRCs emit the register LSB first; unreflected ones MSB first.
     """
-    info = as_bits(info)
-    reg = int(crc_remainder_rows(info[None, :], spec)[0])
     if spec.reflect:
-        order = range(spec.width)
+        shifts = np.arange(spec.width, dtype=np.uint64)
     else:
-        order = range(spec.width - 1, -1, -1)
-    return np.array([(reg >> k) & 1 for k in order], dtype=np.uint8)
+        shifts = np.arange(spec.width - 1, -1, -1, dtype=np.uint64)
+    regs = crc_remainder_rows(rows, spec)
+    return ((regs[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def crc_append(info, spec: CrcSpec = CRC32) -> Bits:
-    """Append the CRC of `info`, giving len(info) + width bits."""
-    info = as_bits(info)
-    return np.concatenate([info, crc_bits(info, spec)])
-
-
-def crc_check(payload, spec: CrcSpec = CRC32) -> bool:
-    """True iff the trailing `spec.width` bits match the CRC of the rest."""
-    payload = as_bits(payload)
-    if len(payload) <= spec.width:
-        raise ValueError("payload shorter than CRC width")
-    return bool(np.array_equal(crc_bits(payload[: -spec.width], spec), payload[-spec.width :]))
+    """Append the CRC of `info` (one bit vector, or each row of a bit
+    matrix), giving len + width bits per row."""
+    info = np.asarray(info, dtype=np.uint8)
+    if info.ndim not in (1, 2) or info.size == 0 or info.max() > 1:
+        raise ValueError("info must be a nonempty bit vector or matrix of bit rows")
+    rows = np.atleast_2d(info)
+    out = np.concatenate([rows, _crc_tails(rows, spec)], axis=1)
+    return out if info.ndim == 2 else out[0]
 
 
 def crc_check_rows(payloads: np.ndarray, spec: CrcSpec = CRC32) -> np.ndarray:
-    """Vectorized crc_check over the rows of a bit matrix."""
+    """True for each row whose trailing `spec.width` bits match the CRC of
+    the rest."""
     payloads = np.atleast_2d(np.asarray(payloads, dtype=np.uint8))
     if payloads.shape[1] <= spec.width:
         raise ValueError("payload shorter than CRC width")
     body, tail = payloads[:, : -spec.width], payloads[:, -spec.width :]
-    reg = crc_remainder_rows(body, spec)
-    if spec.reflect:
-        weights = np.uint64(1) << np.arange(spec.width, dtype=np.uint64)
-    else:
-        weights = np.uint64(1) << np.arange(spec.width - 1, -1, -1, dtype=np.uint64)
-    got = (tail.astype(np.uint64) * weights).sum(axis=1)
-    return reg == got
+    return (_crc_tails(body, spec) == tail).all(axis=1)

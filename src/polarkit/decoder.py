@@ -44,12 +44,17 @@ from .patterns import FrozenPattern, NodeKind, classify_node, pattern_plan
 LEAF_SPAN = 8
 
 __all__ = [
-    "LEAF_SPAN", "ModeConfig", "DecodeResult", "decode", "decode_batch",
+    "LEAF_SPAN", "ModeConfig", "decode_frames",
     "f_llr", "g_llr", "hard_decision", "path_metric_update",
     "leaf_metrics_rcc", "aml_expand_prune", "classify_node",
     "rate0_penalty", "rate1_candidates", "repetition_candidates",
-    "ExpansionStats", "decode_frames",
+    "ExpansionStats",
 ]
+
+
+def _default_q(L: int) -> int:
+    """Expansion width used when none is given: min(L, 2^M)."""
+    return min(L, 1 << LEAF_SPAN)
 
 
 def hard_decision(llr):
@@ -125,26 +130,17 @@ def _sym_of_codeword(M: int) -> np.ndarray:
     return table
 
 
-_REP16_BITS = np.zeros((2, 16), dtype=np.uint8)
-_REP16_BITS[1, 15] = 1
-_REP16_CW = np.stack([np.zeros(16, dtype=np.uint8), np.ones(16, dtype=np.uint8)])
-_BIT_BITS = np.array([[0], [1]], dtype=np.uint8)
-
-
-def _u_bits_table(key: str) -> np.ndarray:
-    if key == "leaf8":
-        return _leaf_tables(LEAF_SPAN)[0]
-    if key == "rep16":
-        return _REP16_BITS
-    return _BIT_BITS
-
-
-def _codeword_table(key: str) -> np.ndarray:
-    if key == "leaf8":
-        return _leaf_tables(LEAF_SPAN)[1]
-    if key == "rep16":
-        return _REP16_CW
-    return _BIT_BITS
+@lru_cache(maxsize=None)
+def _rep_tables(span: int):
+    """(bits, codewords) of a repetition leaf: symbol 1 sets the last input
+    bit, whose codeword is all ones."""
+    bits = np.zeros((2, span), dtype=np.uint8)
+    bits[1, -1] = 1
+    cw = np.zeros((2, span), dtype=np.uint8)
+    cw[1] = 1
+    bits.setflags(write=False)
+    cw.setflags(write=False)
+    return bits, cw
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +251,20 @@ def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int, stats: ExpansionStats | N
             np.take_along_axis(sym, by_pen, axis=-1))
 
 
+def _top_l(pm, pens, syms, L: int):
+    """Global prune to the L smallest pm[path] + pens[path, candidate].
+
+    pm is (B, A); pens and syms are (B, A, C). Ties order by (metric, path
+    index, candidate order). Returns (parents, symbols, metrics), each
+    (B, min(L, A*C)).
+    """
+    B, A, C = pens.shape
+    flat = (pm[:, :, None] + pens).reshape(B, A * C)
+    order = np.argsort(flat, axis=1, kind="stable")[:, :L]
+    rows = np.arange(B)[:, None]
+    return order // C, syms.reshape(B, A * C)[rows, order], flat[rows, order]
+
+
 def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L: int,
                      stats: ExpansionStats | None = None):
     """Expand paths over one mixed-pattern symbol and keep the best L.
@@ -277,14 +287,7 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     llr = np.asarray(leaf_llrs, dtype=np.float64).reshape(pm.shape + (pattern.M,))
     t1, t2 = leaf_metrics_rcc(llr)
     pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q, stats)
-    total = pm[:, :, None] + pen
-    B, P, C = total.shape
-    flat = total.reshape(B, P * C)
-    keep = min(L, P * C)
-    order = np.argsort(flat, axis=1, kind="stable")[:, :keep]
-    parents = order // C
-    symbols = np.take_along_axis(sym.reshape(B, P * C), order, axis=1)
-    metrics = np.take_along_axis(flat, order, axis=1)
+    parents, symbols, metrics = _top_l(pm, pen, sym, L)
     if single:
         return parents[0], symbols[0], metrics[0]
     return parents, symbols, metrics
@@ -303,7 +306,11 @@ def rate0_penalty(alpha):
 def repetition_candidates(alpha):
     """(penalties, symbols) for the all-zero / all-one hypotheses."""
     a = np.asarray(alpha, dtype=np.float64)
-    pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
+    if a.shape[-1] == 1:
+        # one bit: summing a size-1 axis would cost more than the whole leaf
+        pens = np.concatenate([_relu(-a), _relu(a)], axis=-1)
+    else:
+        pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
     return pens, np.array([0, 1], dtype=np.int64)
 
 
@@ -332,12 +339,25 @@ def rate1_candidates(alpha):
 
 
 class _Leaf:
-    __slots__ = ("start", "span", "kind", "plan", "fallback")
+    """One schedule leaf.
+
+    kind is RATE0 (fixed penalty, nothing to decide), REPETITION (symbols 0
+    and 1; also every single information bit), RATE1 (hard decision plus
+    flips) or RATE_R2 (divide-and-conquer expansion over `plan`). `bits` and
+    `codewords` map the leaf's symbol values to its u bits and codeword.
+    """
+
+    __slots__ = ("start", "span", "kind", "plan", "fallback", "bits", "codewords")
 
     def __init__(self, start, span, kind, plan=None, fallback=None):
         self.start, self.span, self.kind, self.plan = start, span, kind, plan
         # bit-serial subtree used where classic SC semantics are required
         self.fallback = fallback
+        self.bits = self.codewords = None
+        if kind is NodeKind.REPETITION:
+            self.bits, self.codewords = _rep_tables(span)
+        elif kind is not NodeKind.RATE0:
+            self.bits, self.codewords = _leaf_tables(span)
 
 
 class _Branch:
@@ -354,43 +374,31 @@ _SCHEDULES = ("fast", "dnc", "bitwise")
 def _build_tree(mask_bytes: bytes, schedule: str):
     mask = np.frombuffer(mask_bytes, dtype=np.uint8)
 
-    def bitwise(start, span):
+    def build(start, span, schedule):
         if span == 1:
-            return _Leaf(start, 1, "bit_frozen" if mask[start] else "bit_info")
-        half = span // 2
-        return _Branch(start, span, bitwise(start, half), bitwise(start + half, half))
-
-    def build(start, span):
+            return _Leaf(start, 1, NodeKind.RATE0 if mask[start] else NodeKind.REPETITION)
         sub = tuple(int(b) for b in mask[start : start + span])
-        if span == 1:
-            return _Leaf(start, 1, "bit_frozen" if sub[0] else "bit_info")
         if schedule == "fast" and span == 16 and classify_node(sub) is NodeKind.REPETITION:
-            return _Leaf(start, 16, "rep16")
+            return _Leaf(start, span, NodeKind.REPETITION)
         if span == LEAF_SPAN and schedule != "bitwise":
             fp = pattern_plan(sub)
-            if schedule == "fast":
-                kind = {
-                    NodeKind.RATE0: "rate0",
-                    NodeKind.RATE1: "rate1",
-                    NodeKind.REPETITION: "rep",
-                    NodeKind.RATE_R2: "aml",
-                }.get(fp.kind)
-                if kind == "aml":
-                    # the joint symbol decision beats greedy SC on these
-                    # patterns; classic-SC contexts use the bit-serial form
-                    return _Leaf(start, span, kind, _expand_plan(sub),
-                                 fallback=bitwise(start, span))
-                if kind is not None:
-                    return _Leaf(start, span, kind)
-            else:  # dnc
-                if fp.kind is NodeKind.RATE0:
-                    return _Leaf(start, span, "rate0")
+            if fp.kind is NodeKind.RATE0:
+                return _Leaf(start, span, fp.kind)
+            if schedule == "dnc":
                 if not fp.has_df_pair:
-                    return _Leaf(start, span, "aml", _expand_plan(sub))
+                    return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(sub))
+            elif fp.kind is NodeKind.RATE_R2:
+                # the joint symbol decision beats greedy SC on these
+                # patterns; classic-SC contexts use the bit-serial form
+                return _Leaf(start, span, fp.kind, _expand_plan(sub),
+                             fallback=build(start, span, "bitwise"))
+            elif fp.kind is not NodeKind.OTHER:
+                return _Leaf(start, span, fp.kind)
         half = span // 2
-        return _Branch(start, span, build(start, half), build(start + half, half))
+        return _Branch(start, span, build(start, half, schedule),
+                       build(start + half, half, schedule))
 
-    return build(0, len(mask))
+    return build(0, len(mask), schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +409,24 @@ class _ListDecoder:
     """Decodes a batch of frames, each with list size L, sharing one schedule.
 
     Holds per-call state between decode() entry and exit, so one instance
-    must not run concurrent decodes; distinct instances share nothing mutable
-    (the public decode/decode_batch helpers build a fresh instance per call).
+    must not run concurrent decodes; decode_frames builds a fresh instance
+    per call.
     """
 
-    def __init__(self, code: PolarCode, L: int, q: int | None = None,
-                 theta: int | None = None, schedule: str = "fast"):
+    def __init__(self, code: PolarCode, L: int, q: int | None, theta: int | None,
+                 schedule: str):
         if schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
         if L < 1:
             raise ValueError("list size must be >= 1")
         self.code = code
         self.L = L
-        self.q = min(L, 1 << LEAF_SPAN) if q is None else q
+        self.q = _default_q(L) if q is None else q
         if not 1 <= self.q <= 1 << LEAF_SPAN:
             raise ValueError("q must lie in 1..2^M")
         self.theta = code.N if theta is None else theta
         if not 0 <= self.theta <= code.N:
             raise ValueError("theta must lie in 0..N")
-        self.schedule = schedule
         self.tree = _build_tree(code.frozen_mask.tobytes(), schedule)
 
     # -- prune-log bookkeeping ------------------------------------------------
@@ -438,59 +445,39 @@ class _ListDecoder:
             perm = P[rows, perm]
         return arr[rows, perm]
 
-    def _select(self, pens, syms, use_list, start, span, table_key):
+    def _select(self, pens, syms, node: _Leaf):
         """Prune (or per-path pick) candidates; returns selected symbols."""
         B, A, C = pens.shape
-        if syms.ndim == 1:
-            syms = np.broadcast_to(syms, (B, A, C))
-        if use_list:
-            total = self._pm[:, :, None] + pens
-            flat = total.reshape(B, A * C)
-            keep = min(self.L, A * C)
-            order = np.argsort(flat, axis=1, kind="stable")[:, :keep]
-            parent = order // C
-            new_pm = flat[self._rows, order]
-            sym_sel = syms.reshape(B, A * C)[self._rows, order]
+        syms = np.broadcast_to(syms, pens.shape)
+        if node.start < self.theta:
+            parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
         else:
             cand = pens.argmin(axis=2)
             parent = np.broadcast_to(np.arange(A), (B, A))
-            cols = np.broadcast_to(np.arange(A), (B, A))
-            new_pm = self._pm + pens[self._rows, cols, cand]
-            sym_sel = syms[self._rows, cols, cand]
+            new_pm = self._pm + pens[self._rows, parent, cand]
+            sym_sel = syms[self._rows, parent, cand]
         if self._trace is not None:
             self._trace.append((self._pm.copy(), parent, new_pm.copy()))
         self._pm = new_pm
         self._log.append(parent)
-        self._events.append((start, span, table_key, sym_sel))
+        self._events.append((node, sym_sel))
         return sym_sel
 
     # -- tree walk -------------------------------------------------------------
 
     def _leaf(self, node: _Leaf, alpha):
-        use_list = node.start < self.theta
         kind = node.kind
-        if kind in ("rate0", "bit_frozen"):
+        if kind is NodeKind.RATE0:
             self._pm = self._pm + rate0_penalty(alpha)
             return np.zeros(alpha.shape, dtype=np.uint8)
-        if kind == "bit_info":
-            a0 = alpha[..., 0]
-            pens = np.stack([_relu(-a0), _relu(a0)], axis=-1)
-            sym = self._select(pens, np.array([0, 1]), use_list, node.start, 1, "bit")
-            return sym.astype(np.uint8)[..., None]
-        if kind == "rep":
+        if kind is NodeKind.REPETITION:
             pens, syms = repetition_candidates(alpha)
-            sym = self._select(pens, syms, use_list, node.start, node.span, "leaf8")
-        elif kind == "rep16":
-            pens, syms = repetition_candidates(alpha)
-            sym = self._select(pens, syms, use_list, node.start, node.span, "rep16")
-        elif kind == "rate1":
+        elif kind is NodeKind.RATE1:
             pens, syms = rate1_candidates(alpha)
-            sym = self._select(pens, syms, use_list, node.start, node.span, "leaf8")
-        else:  # aml
+        else:
             t1, t2 = leaf_metrics_rcc(alpha)
             pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
-            sym = self._select(pens, syms, use_list, node.start, node.span, "leaf8")
-        return _codeword_table("rep16" if kind == "rep16" else "leaf8")[sym]
+        return node.codewords[self._select(pens, syms, node)]
 
     def _walk(self, node, alpha, stamp):
         if isinstance(node, _Leaf):
@@ -514,12 +501,12 @@ class _ListDecoder:
 
     # -- public ----------------------------------------------------------------
 
-    def decode(self, llrs, crc: CrcSpec | None = None, return_paths=False, pm_trace=None):
+    def decode(self, llrs, crc: CrcSpec | None = None, pm_trace=None):
         llrs = np.asarray(llrs, dtype=np.float64)
-        if llrs.ndim == 1:
-            llrs = llrs[None, :]
-        if llrs.shape[1] != self.code.N:
-            raise ValueError("LLR length does not match the code")
+        if llrs.ndim != 2 or llrs.shape[1] != self.code.N:
+            raise ValueError(f"LLRs must be a (frames, {self.code.N}) array")
+        if np.isnan(llrs).any():
+            raise ValueError("LLRs must not be NaN")
         B = llrs.shape[0]
         alpha = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)[:, None, :]
         self._rows = np.arange(B)[:, None]
@@ -531,20 +518,19 @@ class _ListDecoder:
         u_all = self._reconstruct(B)
         pm_all = self._pm
         self._log = self._events = None
-        return self._pick_winner(u_all, pm_all, crc, return_paths)
+        return self._pick_winner(u_all, pm_all, crc)
 
     def _reconstruct(self, B):
         A = self._pm.shape[1]
         u = np.zeros((B, A, self.code.N), dtype=np.uint8)
         perm = np.broadcast_to(np.arange(A), (B, A)).copy()
         rows = self._rows
-        for (start, span, key, sym), P in zip(reversed(self._events), reversed(self._log)):
-            sym_now = sym[rows, perm]
-            u[:, :, start : start + span] = _u_bits_table(key)[sym_now]
+        for (node, sym), P in zip(reversed(self._events), reversed(self._log)):
+            u[:, :, node.start : node.start + node.span] = node.bits[sym[rows, perm]]
             perm = P[rows, perm]
         return u
 
-    def _pick_winner(self, u_all, pm_all, crc, return_paths):
+    def _pick_winner(self, u_all, pm_all, crc):
         B, A, _ = u_all.shape
         if crc is None:
             win = pm_all.argmin(axis=1)
@@ -557,19 +543,22 @@ class _ListDecoder:
             win = np.where(has, masked.argmin(axis=1), pm_all.argmin(axis=1))
             ok = has
         rows = np.arange(B)
-        u = u_all[rows, win]
-        pm = pm_all[rows, win]
-        if return_paths:
-            return u, pm, ok, u_all, pm_all
-        return u, pm, ok
+        return u_all[rows, win], pm_all[rows, win], ok
 
 
 def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
                   theta: int | None = None, schedule: str = "fast",
-                  crc: CrcSpec | None = None, return_paths=False, pm_trace=None):
-    """Decode a (B, N) batch of independent frames with one list config."""
-    dec = _ListDecoder(code, L, q, theta, schedule)
-    return dec.decode(llrs, crc=crc, return_paths=return_paths, pm_trace=pm_trace)
+                  crc: CrcSpec | None = None, pm_trace=None):
+    """Decode a (B, N) batch of independent frames with one list configuration.
+
+    Each row is one received word, decoded with list size L; the batch plays
+    the part of the chip's parallel words. q is the per-path expansion width
+    (default min(L, 2^M)); from bit index theta on (mode4_1) each surviving
+    path continues alone; with crc the best CRC-passing path wins. Returns
+    (u, path_metrics, crc_ok): the (B, N) input estimates, the winners'
+    metrics, and a (B,) bool array of CRC passes (None without crc).
+    """
+    return _ListDecoder(code, L, q, theta, schedule).decode(llrs, crc=crc, pm_trace=pm_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -578,104 +567,59 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
 
 @dataclass
 class ModeConfig:
-    """Decoder operating point: P parallel frames x list size L.
+    """Decoder operating point: list size L, expansion width q, schedule.
 
-    Named modes fix (P, L): mode4 = (1, 4), mode2 = (2, 2), mode1 = (4, 1);
-    mode4_1 runs (1, 4) for bits up to theta, then each surviving path
+    Named modes fix L: mode4 = 4, mode2 = 2, mode1 = 1 (classic SC);
+    mode4_1 runs L = 4 for bits below theta, then each surviving path
     continues independently (per-path best candidate, no cross-path pruning)
     and the best final metric wins (CRC-passing preferred). q defaults to
-    min(L, 2^M); 'custom' leaves (P, L) free.
+    min(L, 2^M); 'custom' leaves L free.
     """
 
     mode: str = "mode4"
-    P: int = 1
     L: int = 4
     q: int | None = None
     theta: int | None = None
     schedule: str = "fast"
-    nd: int = 4
 
-    _SHAPES = {"mode4": (1, 4), "mode2": (2, 2), "mode1": (4, 1), "mode4_1": (1, 4)}
+    _LIST_SIZES = {"mode4": 4, "mode2": 2, "mode1": 1, "mode4_1": 4}
 
     def __post_init__(self):
-        if self.mode not in (*self._SHAPES, "custom"):
+        if self.mode not in (*self._LIST_SIZES, "custom"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode in self._SHAPES and (self.P, self.L) != self._SHAPES[self.mode]:
-            raise ValueError(f"{self.mode} requires (P, L) = {self._SHAPES[self.mode]}")
-        if self.mode == "custom":
-            self.nd = max(self.nd, self.P * self.L)
-        if self.P * self.L > self.nd:
-            raise ValueError("P * L exceeds the path budget nd")
+        if self.L < 1:
+            raise ValueError("list size L must be >= 1")
+        if self.mode in self._LIST_SIZES and self.L != self._LIST_SIZES[self.mode]:
+            raise ValueError(f"{self.mode} requires L = {self._LIST_SIZES[self.mode]}")
         if self.mode == "mode4_1" and self.theta is None:
             raise ValueError("mode4_1 requires a switching point theta")
-        if self.q is not None and self.q < 1:
+        if self.q is None:
+            self.q = _default_q(self.L)
+        if self.q < 1:
             raise ValueError("q must be >= 1")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
 
     @classmethod
     def mode4(cls, **kw):
-        return cls(mode="mode4", P=1, L=4, **kw)
+        return cls(mode="mode4", L=4, **kw)
 
     @classmethod
     def mode2(cls, **kw):
-        return cls(mode="mode2", P=2, L=2, **kw)
+        return cls(mode="mode2", L=2, **kw)
 
     @classmethod
     def mode1(cls, **kw):
-        return cls(mode="mode1", P=4, L=1, **kw)
+        return cls(mode="mode1", L=1, **kw)
 
     @classmethod
     def mode4_1(cls, theta: int, **kw):
-        return cls(mode="mode4_1", P=1, L=4, theta=theta, **kw)
+        return cls(mode="mode4_1", L=4, theta=theta, **kw)
 
     @classmethod
-    def custom(cls, L: int, q: int | None = None, P: int = 1, **kw):
-        return cls(mode="custom", P=P, L=L, q=q, **kw)
+    def custom(cls, L: int, q: int | None = None, **kw):
+        return cls(mode="custom", L=L, q=q, **kw)
 
     @property
     def effective_theta(self) -> int | None:
         return self.theta if self.mode in ("mode4_1", "custom") else None
-
-
-@dataclass
-class DecodeResult:
-    """One decoded frame: full input estimate, info bits, CRC flag, metric."""
-
-    u_hat: np.ndarray
-    info_bits: np.ndarray
-    crc_passed: bool | None
-    path_metric: float
-
-    def payload(self, crc_width: int) -> np.ndarray:
-        return self.info_bits[: len(self.info_bits) - crc_width]
-
-
-def decode(code: PolarCode, llrs, cfg: ModeConfig, crc: CrcSpec | None = None) -> DecodeResult:
-    """Decode one received word under the given mode configuration."""
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.ndim != 1 or len(llrs) != code.N:
-        raise ValueError("llrs must be one length-N vector")
-    if cfg.effective_theta is not None and cfg.effective_theta > code.N:
-        raise ValueError("theta exceeds the code length")
-    u, pm, ok = decode_frames(code, llrs[None, :], L=cfg.L, q=cfg.q,
-                              theta=cfg.effective_theta, schedule=cfg.schedule, crc=crc)
-    flag = None if ok is None else bool(ok[0])
-    return DecodeResult(u[0], u[0][code.info_positions], flag, float(pm[0]))
-
-
-def decode_batch(code: PolarCode, words, cfg: ModeConfig,
-                 crc: CrcSpec | None = None) -> list[DecodeResult]:
-    """Decode cfg.P received words independently, order preserving."""
-    words = np.asarray(words, dtype=np.float64)
-    if words.ndim != 2 or words.shape[0] != cfg.P:
-        raise ValueError(f"expected {cfg.P} words")
-    if words.shape[1] != code.N:
-        raise ValueError("word length does not match the code")
-    u, pm, ok = decode_frames(code, words, L=cfg.L, q=cfg.q,
-                              theta=cfg.effective_theta, schedule=cfg.schedule, crc=crc)
-    out = []
-    for i in range(cfg.P):
-        flag = None if ok is None else bool(ok[i])
-        out.append(DecodeResult(u[i], u[i][code.info_positions], flag, float(pm[i])))
-    return out

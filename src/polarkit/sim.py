@@ -12,14 +12,15 @@ SNR convention: Eb/N0 in dB with rate = K/N, K counting CRC bits.
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import frame_rng, quantize_llr
-from .core import CrcSpec, PolarCode, polar_transform
-from .decoder import ModeConfig, _ListDecoder
+from .channel import channel_llrs, check_channel, default_quantize_step, frame_rng, quantize_llr
+from .core import CrcSpec, PolarCode, crc_append, polar_transform
+from .decoder import ModeConfig, decode_frames
 
 CSV_HEADER = "snr_db,eps,mode,L,q,theta,frames,bit_errors,frame_errors,ber,fer,seed"
 
@@ -42,12 +43,10 @@ class SweepSpec:
     quantize_step: float | None = None
 
     def __post_init__(self):
-        if self.channel not in ("awgn", "bec"):
-            raise ValueError("channel must be 'awgn' or 'bec'")
         if not self.points:
             raise ValueError("sweep needs at least one point")
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be positive")
+        for p in self.points:
+            check_channel(self.channel, p)
 
 
 @dataclass
@@ -64,16 +63,15 @@ class SimPoint:
     bit_errors: int
     frame_errors: int
     seed: int
+    K: int  # information positions per frame, CRC bits included (BER denominator)
 
     @property
     def ber(self) -> float:
-        return self.bit_errors / (self.frames * self._k) if self.frames else 0.0
+        return self.bit_errors / (self.frames * self.K) if self.frames else float("nan")
 
     @property
     def fer(self) -> float:
-        return self.frame_errors / self.frames if self.frames else 0.0
-
-    _k: int = field(default=1, repr=False)
+        return self.frame_errors / self.frames if self.frames else float("nan")
 
     def csv_row(self) -> str:
         sn = "" if self.snr_db is None else repr(float(self.snr_db))
@@ -94,53 +92,29 @@ class SimPoint:
 
 def _build_frames(code: PolarCode, crc: CrcSpec | None, channel: str, param: float,
                   seed: int, start: int, count: int, quant):
-    """Per-frame payloads and channel LLRs for frames [start, start+count).
+    """Info words and channel LLRs for frames [start, start+count).
 
-    Random draws happen per frame from its own counter stream (payload bits,
-    then the noise row), so frame i is independent of batch boundaries; the
-    CRC/encode/LLR arithmetic is vectorized over the batch and matches the
-    per-frame channel functions bit for bit.
+    Frame i draws its payload bits, then its noise row, from its own counter
+    stream, so it is independent of batch boundaries.
     """
-    from .channel import noise_sigma2
-    from .core import crc_remainder_rows
-
-    N, K = code.N, code.K
-    payloads = np.empty((count, code.payload_bits), dtype=np.uint8)
-    raw = np.empty((count, N))
-    for i in range(count):
-        rng = frame_rng(seed, start + i)
-        payloads[i] = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
-        raw[i] = rng.standard_normal(N) if channel == "awgn" else rng.random(N)
-    if crc is not None:
-        regs = crc_remainder_rows(payloads, crc)
-        order = np.arange(crc.width) if crc.reflect else np.arange(crc.width - 1, -1, -1)
-        tails = ((regs[:, None] >> order.astype(np.uint64)) & 1).astype(np.uint8)
-        infos = np.concatenate([payloads, tails], axis=1)
-    else:
-        infos = payloads
-    u = np.zeros((count, N), dtype=np.uint8)
+    rngs = [frame_rng(seed, start + i) for i in range(count)]
+    payloads = np.stack([rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+                         for rng in rngs])
+    infos = payloads if crc is None else crc_append(payloads, crc)
+    u = np.zeros((count, code.N), dtype=np.uint8)
     u[:, code.info_positions] = infos
-    x = polar_transform(u)
-    if channel == "awgn":
-        s2 = noise_sigma2(param, K / N)
-        y = (1.0 - 2.0 * x.astype(np.float64)) + np.sqrt(s2) * raw
-        llrs = 2.0 * y / s2
-    else:
-        known = np.where(x == 0, np.inf, -np.inf)
-        llrs = np.where(raw < param, 0.0, known)
+    llrs = channel_llrs(polar_transform(u), channel, param, code.rate, rngs)
     if quant is not None:
         llrs = quantize_llr(llrs, *quant)
     return infos, llrs
 
 
-def _run_batch(code, crc, cfg_fields, channel, param, seed, start, count, quant):
+def _run_batch(code, crc, cfg: ModeConfig, channel, param, seed, start, count, quant):
     """Decode one batch; returns (frames, bit_errors, frame_errors)."""
     infos, llrs = _build_frames(code, crc, channel, param, seed, start, count, quant)
-    L, q, theta, schedule = cfg_fields
-    dec = _ListDecoder(code, L=L, q=q, theta=theta, schedule=schedule)
-    u, _, _ = dec.decode(llrs, crc=crc)
-    got = u[:, code.info_positions]
-    bad = got != infos
+    u, _, _ = decode_frames(code, llrs, L=cfg.L, q=cfg.q, theta=cfg.effective_theta,
+                            schedule=cfg.schedule, crc=crc)
+    bad = u[:, code.info_positions] != infos
     return count, int(bad.sum()), int(bad.any(axis=1).sum())
 
 
@@ -154,12 +128,14 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     (0 disables early stop), or at the frame cap. Identical output for any
     `workers`.
     """
+    check_channel(channel, param)
     if crc is not None and code.K <= crc.width:
         raise ValueError("code lacks CRC capacity (K <= crc width)")
-    batch = batch_frames or default_batch_frames(code.N)
-    q_eff = cfg.q if cfg.q is not None else min(cfg.L, 256)
-    cfg_fields = (cfg.L, q_eff, cfg.effective_theta, cfg.schedule)
-    starts = list(range(0, max_frames, batch))
+    batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
+    if batch < 1 or max_frames < 1:
+        raise ValueError("batch_frames and max_frames must be >= 1")
+    args = (code, crc, cfg, channel, param, seed)
+    starts = range(0, max_frames, batch)
     frames = bit_errors = frame_errors = 0
 
     def consume(res):
@@ -172,36 +148,26 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
 
     if workers <= 1:
         for s in starts:
-            n = min(batch, max_frames - s)
-            if consume(_run_batch(code, crc, cfg_fields, channel, param, seed, s, n, quantize)):
+            if consume(_run_batch(*args, s, min(batch, max_frames - s), quantize)):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {}
-            stop = False
-            it = iter(starts)
-            submitted = []
-            for s in it:
-                n = min(batch, max_frames - s)
-                pending[s] = pool.submit(_run_batch, code, crc, cfg_fields, channel,
-                                         param, seed, s, n, quantize)
-                submitted.append(s)
-                if len(pending) < 2 * workers:
-                    continue
-                s0 = submitted.pop(0)
-                if consume(pending.pop(s0).result()):
-                    stop = True
+            # batches are consumed in frame-index order, at most 2*workers in flight
+            inflight = deque()
+            for s in starts:
+                inflight.append(pool.submit(_run_batch, *args, s,
+                                            min(batch, max_frames - s), quantize))
+                if len(inflight) == 2 * workers and consume(inflight.popleft().result()):
                     break
-            if not stop:
-                for s0 in submitted:
-                    if consume(pending.pop(s0).result()):
-                        break
-            for fut in pending.values():
+            else:
+                while inflight and not consume(inflight.popleft().result()):
+                    pass
+            for fut in inflight:
                 fut.cancel()
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
-    return SimPoint(snr, eps, cfg.mode, cfg.L, q_eff, cfg.effective_theta,
-                    frames, bit_errors, frame_errors, seed, _k=code.K)
+    return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.effective_theta,
+                    frames, bit_errors, frame_errors, seed, code.K)
 
 
 def simulate_sweep(code: PolarCode, cfg: ModeConfig, spec: SweepSpec, *,
@@ -211,10 +177,7 @@ def simulate_sweep(code: PolarCode, cfg: ModeConfig, spec: SweepSpec, *,
     if spec.quantize_bits is not None:
         step = spec.quantize_step
         if step is None:
-            # default: saturation at ~4 sigma of the channel LLR at 2 dB
-            from .channel import noise_sigma2
-            std = 2.0 / np.sqrt(noise_sigma2(2.0, code.K / code.N))
-            step = 4.0 * std / ((1 << (spec.quantize_bits - 1)) - 1)
+            step = default_quantize_step(spec.quantize_bits, code.rate)
         quant = (spec.quantize_bits, step)
     out = []
     for p in spec.points:

@@ -12,11 +12,9 @@ def make_noisy_frames(code, count, ebno_db, rng, crc=None):
     the per-frame counter streams) since these are test fixtures.
     """
     K, N = code.K, code.N
-    infos = np.zeros((count, K), dtype=np.uint8)
     payload_len = K - (crc.width if crc is not None else 0)
     payloads = rng.integers(0, 2, size=(count, payload_len), dtype=np.uint8)
-    for i in range(count):
-        infos[i] = pk.crc_append(payloads[i], crc) if crc is not None else payloads[i]
+    infos = pk.crc_append(payloads, crc) if crc is not None else payloads
     u = np.zeros((count, N), dtype=np.uint8)
     u[:, code.info_positions] = infos
     x = pk.polar_transform(u)

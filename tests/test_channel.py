@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.channel import frame_rng, noise_sigma2, quantize_llr
+from polarkit.channel import channel_llrs, frame_rng, noise_sigma2, quantize_llr
 
 
 def test_awgn_noiseless_limit_signs(rng):
@@ -72,9 +72,24 @@ def test_quantize_validation():
         quantize_llr([1.0], bits=5, step=0.0)
 
 
-def test_noise_spec_validation():
+def test_channel_param_validation():
+    x = np.zeros((1, 8), dtype=np.uint8)
     with pytest.raises(ValueError):
-        pk.NoiseSpec("fading", 1.0)
+        channel_llrs(x, "fading", 1.0, 0.5, [frame_rng(1, 0)])
+    for eps in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            pk.bec_llr(x[0], eps, frame_rng(1, 0))
     with pytest.raises(ValueError):
-        pk.NoiseSpec("bec", 1.5)
-    assert pk.NoiseSpec("awgn", 2.0, 0.5).param == 2.0
+        pk.awgn_llr(x[0], 2.0, 1.5, frame_rng(1, 0))  # rate outside (0, 1]
+
+
+@pytest.mark.parametrize("channel,param", [("awgn", 1.0), ("bec", 0.4)])
+def test_channel_rows_use_their_own_streams(channel, param, rng):
+    x = rng.integers(0, 2, size=(5, 64), dtype=np.uint8)
+    got = channel_llrs(x, channel, param, 0.5, [frame_rng(7, 10 + i) for i in range(5)])
+    for i in range(5):
+        if channel == "awgn":
+            want = pk.awgn_llr(x[i], param, 0.5, frame_rng(7, 10 + i))
+        else:
+            want = pk.bec_llr(x[i], param, frame_rng(7, 10 + i))
+        assert np.array_equal(got[i], want)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.core import CRC32, CrcSpec, crc_check_rows
+from polarkit.core import CRC32, CrcSpec, crc_check_rows, crc_remainder_rows
 from polarkit.oracle import matrix_encode
 
 
@@ -70,7 +70,7 @@ def test_bit_reverse_is_involution(n, seed):
 def test_crc_round_trip(rng):
     for _ in range(20):
         msg = rng.integers(0, 2, size=int(rng.integers(1, 200)), dtype=np.uint8)
-        assert pk.crc_check(pk.crc_append(msg))
+        assert crc_check_rows(pk.crc_append(msg))[0]
 
 
 def test_crc_single_bit_flip_detected(rng):
@@ -79,7 +79,7 @@ def test_crc_single_bit_flip_detected(rng):
     for pos in [0, 1, 57, len(word) - 1]:
         bad = word.copy()
         bad[pos] ^= 1
-        assert not pk.crc_check(bad)
+        assert not crc_check_rows(bad)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,14 +89,14 @@ def test_crc_flip_property(seed, length, poschoice):
     word = pk.crc_append(rng.integers(0, 2, size=length, dtype=np.uint8))
     bad = word.copy()
     bad[poschoice % len(word)] ^= 1
-    assert not pk.crc_check(bad)
+    assert not crc_check_rows(bad)[0]
 
 
 def test_crc32_matches_zlib_on_bytes(rng):
     # byte streams fed LSB-first per byte reproduce the zlib CRC-32
     data = bytes(rng.integers(0, 256, size=37, dtype=np.uint8))
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    got = pk.crc_bits(bits, CRC32)
+    got = pk.crc_append(bits, CRC32)[-32:]
     want = zlib.crc32(data)
     assert int((got * (1 << np.arange(32))).sum()) == want
 
@@ -107,12 +107,20 @@ def test_crc_appended_length_for_long_payload(rng):
 
 
 def test_crc_check_rows_matches_scalar(rng):
-    words = np.array([pk.crc_append(rng.integers(0, 2, size=64, dtype=np.uint8))
-                      for _ in range(8)])
+    payloads = rng.integers(0, 2, size=(8, 64), dtype=np.uint8)
+    words = pk.crc_append(payloads)
+    assert np.array_equal(words, [pk.crc_append(p) for p in payloads])
     words[3, 5] ^= 1
+    words[6, -1] ^= 1
     got = crc_check_rows(words)
-    want = [pk.crc_check(w) for w in words]
-    assert got.tolist() == want
+    assert got.tolist() == [crc_check_rows(w)[0] for w in words]
+    assert got.tolist() == [True, True, True, False, True, True, False, True]
+    # unreflected CRCs emit the register MSB first
+    spec = CrcSpec(width=8, polynomial=0x07, init=0, xor_out=0, reflect=False)
+    reg = int(crc_remainder_rows(payloads[:1], spec)[0])
+    tail = pk.crc_append(payloads[0], spec)[-8:]
+    assert int("".join(map(str, tail)), 2) == reg
+    assert crc_check_rows(pk.crc_append(payloads, spec), spec).all()
 
 
 def test_crc_spec_validation():
@@ -121,7 +129,9 @@ def test_crc_spec_validation():
     with pytest.raises(ValueError):
         CrcSpec(width=4, polynomial=0x10, init=0, xor_out=0)  # degree too high
     with pytest.raises(ValueError):
-        pk.crc_check(np.zeros(32, dtype=np.uint8))  # not longer than the CRC
+        crc_check_rows(np.zeros(32, dtype=np.uint8))  # not longer than the CRC
+    with pytest.raises(ValueError):
+        pk.crc_append([0, 2, 1])  # not a bit vector
 
 
 def test_polar_code_validation():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.core import CRC32
+from polarkit.core import CRC32, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
     aml_expand_prune,
@@ -119,6 +121,8 @@ def test_repetition_candidates_example():
     pens, syms = repetition_candidates(np.ones((1, 8)))
     assert pens[0].tolist() == [0.0, 8.0]
     assert syms.tolist() == [0, 1]
+    pens, _ = repetition_candidates(np.array([[-2.0], [3.0], [0.0]]))  # single bits
+    assert pens.tolist() == [[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]]
 
 
 def test_rate1_hard_decision_survivor(rng):
@@ -139,14 +143,44 @@ def _random_code(rng, n=6, K=32):
     return pk.select_frozen(pk.bec_reliability(n, 0.5), K)
 
 
+def _decode(code, llrs, cfg, crc=None):
+    return decode_frames(code, llrs, L=cfg.L, q=cfg.q, theta=cfg.effective_theta,
+                         schedule=cfg.schedule, crc=crc)
+
+
+def _hypothesis_code(seed, n, max_K, designed):
+    """A code with 0 < K <= max_K: BEC-designed at a random erasure
+    probability, or a uniformly random frozen set."""
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    K = int(rng.integers(1, min(max_K, N - 1) + 1))
+    if designed:
+        return pk.select_frozen(pk.bec_reliability(n, float(rng.uniform(0.05, 0.95))), K), rng
+    mask = np.ones(N, dtype=np.uint8)
+    mask[rng.choice(N, K, replace=False)] = 0
+    return pk.PolarCode(n, K, mask), rng
+
+
+# (schedule, L, theta as a fraction of N); the last entry is mode4_1 at N/2
+_DECODE_CONFIGS = [(s, L, None) for s in ("fast", "dnc", "bitwise") for L in (1, 4, 8)]
+_DECODE_CONFIGS.append(("fast", 4, 0.5))
+_code_args = (st.integers(0, 2**32 - 1), st.integers(3, 7), st.booleans(),
+              st.sampled_from(_DECODE_CONFIGS))
+
+
+def _decode_kw(config, N):
+    schedule, L, theta = config
+    return dict(L=L, schedule=schedule, theta=None if theta is None else int(theta * N))
+
+
 def test_noiseless_decode_every_mode(rng):
     code = _random_code(rng)
     u = pk.assemble_input(code, rng.integers(0, 2, code.K, dtype=np.uint8))
     llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 25
     for cfg in (ModeConfig.mode4(), ModeConfig.mode2(), ModeConfig.mode1(),
                 ModeConfig.mode4_1(theta=32), ModeConfig.custom(L=8)):
-        res = pk.decode(code, llr, cfg)
-        assert np.array_equal(res.u_hat, u), cfg.mode
+        u_hat, _, _ = _decode(code, llr[None, :], cfg)
+        assert np.array_equal(u_hat[0], u), cfg.mode
 
 
 def test_noiseless_decode_bec_llrs(rng):
@@ -154,16 +188,34 @@ def test_noiseless_decode_bec_llrs(rng):
     u = pk.assemble_input(code, rng.integers(0, 2, code.K, dtype=np.uint8))
     x = pk.encode(code, u)
     llr = np.where(x == 0, np.inf, -np.inf)  # erasure-free channel word
-    res = pk.decode(code, llr, ModeConfig.mode4())
-    assert np.array_equal(res.u_hat, u)
+    u_hat, _, _ = _decode(code, llr[None, :], ModeConfig.mode4())
+    assert np.array_equal(u_hat[0], u)
 
 
-def test_decoded_frozen_positions_are_zero(rng):
-    code = _random_code(rng)
-    froz = code.frozen_mask.astype(bool)
-    for L in (1, 2, 4):
-        u, _, _ = decode_frames(code, rng.standard_normal((50, 64)) * 3, L=L)
-        assert not u[:, froz].any()
+@settings(max_examples=25, deadline=None)
+@given(*_code_args)
+def test_decoded_frozen_positions_are_zero(seed, n, designed, config):
+    code, rng = _hypothesis_code(seed, n, 1 << n, designed)
+    u, _, _ = decode_frames(code, rng.standard_normal((16, code.N)) * 3,
+                            **_decode_kw(config, code.N))
+    assert not u[:, code.frozen_mask.astype(bool)].any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(*_code_args)
+def test_channel_symmetry(seed, n, designed, config):
+    # flipping the LLR signs along a codeword x = uG flips the decision by u
+    code, rng = _hypothesis_code(seed, n, 1 << n, designed)
+    kw = _decode_kw(config, code.N)
+    llrs = rng.normal(0.5, 2.0, size=(16, code.N))
+    ux = np.zeros((16, code.N), dtype=np.uint8)
+    ux[:, code.info_positions] = rng.integers(0, 2, size=(16, code.K))
+    x = pk.polar_transform(ux)
+    u, pm, _ = decode_frames(code, llrs, **kw)
+    u_flip, pm_flip, _ = decode_frames(code, llrs * (1.0 - 2.0 * x), **kw)
+    assert np.array_equal(u_flip, u ^ ux)
+    # penalties are summed in another order on the flipped word
+    assert np.allclose(pm_flip, pm, rtol=1e-9, atol=1e-12)
 
 
 def test_decode_L1_equals_plain_sc_quick(rng):
@@ -174,10 +226,13 @@ def test_decode_L1_equals_plain_sc_quick(rng):
         assert np.array_equal(u, plain_sc(code, llrs))
 
 
-def test_decode_as_ml_with_huge_list_quick(rng):
-    code = pk.select_frozen(pk.bec_reliability(4, 0.5), 8)
-    _, llrs = make_noisy_frames(code, 100, 0.0, rng)
-    u, _, _ = decode_frames(code, llrs, L=256, q=256, schedule="dnc")
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.booleans())
+def test_decode_as_ml_with_huge_list_quick(seed, n, designed):
+    # a list of 2^K paths never prunes, so it decodes as exhaustive ML
+    code, rng = _hypothesis_code(seed, n, 8, designed)
+    llrs = rng.normal(1.0, 1.5, size=(24, code.N))
+    u, _, _ = decode_frames(code, llrs, L=1 << code.K, q=256, schedule="dnc")
     assert np.array_equal(u, exhaustive_ml(code, llrs))
 
 
@@ -224,20 +279,14 @@ def test_mode4_1_theta_zero_is_single_path_sc(rng):
 
 
 def test_decode_batch_independence(rng):
-    code = _random_code(rng)
-    _, llrs = make_noisy_frames(code, 4, 1.0, rng)
-    cfg = ModeConfig.mode1()
-    batch = pk.decode_batch(code, llrs, cfg)
-    singles = [pk.decode(code, row, ModeConfig.custom(L=1)) for row in llrs]
-    for got, want in zip(batch, singles):
-        assert np.array_equal(got.u_hat, want.u_hat)
-    cfg2 = ModeConfig.mode2()
-    pair = pk.decode_batch(code, llrs[:2], cfg2)
-    for i, r in enumerate(pair):
-        ref = pk.decode(code, llrs[i], ModeConfig.custom(L=2))
-        assert np.array_equal(r.u_hat, ref.u_hat)
-    with pytest.raises(ValueError):
-        pk.decode_batch(code, llrs[:3], cfg)  # batch size mismatch
+    # each row of a batch decodes as if it were alone
+    code = pk.select_frozen(pk.bec_reliability(6, 0.5), 40, crc_width=32)
+    _, llrs = make_noisy_frames(code, 4, 1.0, rng, crc=CRC32)
+    for cfg in (ModeConfig.mode1(), ModeConfig.mode2(), ModeConfig.mode4_1(theta=32)):
+        u, pm, ok = _decode(code, llrs, cfg, crc=CRC32)
+        for i in range(len(llrs)):
+            ui, pmi, oki = _decode(code, llrs[i : i + 1], cfg, crc=CRC32)
+            assert np.array_equal(u[i], ui[0]) and pm[i] == pmi[0] and ok[i] == oki[0]
 
 
 def test_crc_aided_selection(rng):
@@ -246,8 +295,7 @@ def test_crc_aided_selection(rng):
     u, pm, ok = decode_frames(code, llrs, L=4, crc=CRC32)
     got = u[:, code.info_positions]
     # every reported pass must carry a CRC-consistent word
-    for i in np.flatnonzero(ok):
-        assert pk.crc_check(got[i])
+    assert crc_check_rows(got[ok]).all()
     # CRC selection should not do worse than plain best-metric selection
     u2, _, _ = decode_frames(code, llrs, L=4)
     fe_crc = (got != info).any(1).mean()
@@ -265,21 +313,35 @@ def test_crc_failure_still_returns_word(rng):
 
 def test_mode_config_validation():
     with pytest.raises(ValueError):
-        ModeConfig(mode="mode4", P=2, L=4)
+        ModeConfig(mode="mode4", L=2)
     with pytest.raises(ValueError):
-        ModeConfig(mode="mode4_1", P=1, L=4)  # theta missing
+        ModeConfig(mode="mode4_1", L=4)  # theta missing
     with pytest.raises(ValueError):
-        ModeConfig(mode="warp", P=1, L=1)
-    cfg = ModeConfig.custom(L=8, q=4)
-    assert cfg.nd >= 8
+        ModeConfig(mode="warp", L=1)
+    for L in (0, -1):
+        with pytest.raises(ValueError):
+            ModeConfig.custom(L=L)
+    assert ModeConfig.custom(L=8, q=4).q == 4
+    assert ModeConfig.custom(L=8).q == 8 and ModeConfig.custom(L=512).q == 256
+    assert ModeConfig.mode1().q == 1
 
 
 def test_decode_validates_inputs(rng):
     code = _random_code(rng)
     with pytest.raises(ValueError):
-        pk.decode(code, np.zeros(32), ModeConfig.mode4())
+        decode_frames(code, np.zeros((1, 32)), L=4)
+    with pytest.raises(ValueError):
+        decode_frames(code, np.zeros(64), L=4)  # one frame is a (1, N) batch
     with pytest.raises(ValueError):
         decode_frames(code, np.zeros((1, 64)), L=4, theta=100)
+
+
+def test_decode_rejects_nan_llrs(rng):
+    code = _random_code(rng)
+    llrs = rng.standard_normal((3, 64))
+    llrs[1, 17] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decode_frames(code, llrs, L=4)
 
 
 def test_tiny_codes_decode(rng):
@@ -288,5 +350,5 @@ def test_tiny_codes_decode(rng):
         code = pk.select_frozen(pk.bec_reliability(n, 0.5), K)
         u = pk.assemble_input(code, rng.integers(0, 2, K, dtype=np.uint8))
         llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 9
-        res = pk.decode(code, llr, ModeConfig.custom(L=2))
-        assert np.array_equal(res.u_hat, u)
+        u_hat, _, _ = decode_frames(code, llr[None, :], L=2)
+        assert np.array_equal(u_hat[0], u)

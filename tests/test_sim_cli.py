@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,7 @@ import polarkit as pk
 from polarkit.cli import main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
+from polarkit import sim
 from polarkit.sim import (
     SimPoint,
     SweepSpec,
@@ -75,10 +81,34 @@ def test_crc_capacity_guard():
 
 
 def test_csv_round_trip_values():
-    pt = SimPoint(2.0, None, "mode4", 4, 4, None, 1000, 17, 3, 9, _k=100)
+    pt = SimPoint(2.0, None, "mode4", 4, 4, None, 1000, 17, 3, 9, K=100)
     row = pt.csv_row().split(",")
     assert float(row[9]) * 1000 * 100 == 17  # ber recomputable
     assert float(row[10]) * 1000 == 3
+
+
+def test_empty_point_rates_are_nan():
+    pt = SimPoint(2.0, None, "mode4", 4, 4, None, 0, 0, 0, 9, K=100)
+    assert math.isnan(pt.ber) and math.isnan(pt.fer)
+
+
+def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypatch):
+    code, _ = small_code
+
+    def no_batch(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(sim, "_run_batch", no_batch)
+    cfg = ModeConfig.mode1()
+    for kw in (dict(batch_frames=-3), dict(batch_frames=0), dict(max_frames=0),
+               dict(max_frames=-5)):
+        with pytest.raises(ValueError):
+            simulate_point(code, cfg, "awgn", 2.0, **kw)
+    for channel, param in (("bec", 1.5), ("bec", 0.0), ("fading", 1.0)):
+        with pytest.raises(ValueError):
+            simulate_point(code, cfg, channel, param)
+    with pytest.raises(ValueError):
+        SweepSpec("bec", (0.3, 1.5))
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -136,6 +166,37 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["bogus"]) == 1
     assert main(["simulate", "--code", str(tmp_path / "missing.json"),
                  "--snr", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--snr", "1:0:2"],
+    ["--snr", "2.0", "--L", "0"],
+    ["--snr", "2.0", "--batch-frames", "-3"],
+    ["--snr", "2.0", "--batch-frames", "0"],
+    ["--eps", "1.5"],
+])
+def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
+    _, codefile = small_code
+    out = tmp_path / "bad"
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode1",
+                 "--frames", "64", "--out", str(out), *extra]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05"])
+def test_cli_verify_prop1_bad_step_exits_2(step):
+    # in a subprocess with a timeout, so a non-advancing grid loop fails
+    # the test instead of hanging it
+    src = str(Path(pk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarkit.cli", "verify-prop1", "--eps-start", "0.1",
+         "--eps-stop", "0.2", "--eps-step", step, "--depth", "2"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().startswith("error: ")
 
 
 def test_cli_simulate_deterministic_across_workers(tmp_path, small_code):
