@@ -156,6 +156,8 @@ def _cmd_simulate(args) -> int:
     preset = {"mode4": ModeConfig.mode4, "mode2": ModeConfig.mode2,
               "mode1": ModeConfig.mode1}.get(args.mode)
     kw = {"schedule": args.schedule}
+    if args.theta is not None and args.mode != "mode4_1":
+        raise ValueError("--theta applies only to --mode mode4_1")
     if args.mode == "mode4_1":
         if args.theta is None:
             raise ValueError("mode4_1 requires --theta")

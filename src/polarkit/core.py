@@ -203,17 +203,56 @@ def crc_remainder_rows(rows: np.ndarray, spec: CrcSpec = CRC32) -> np.ndarray:
     return (reg ^ np.uint64(spec.xor_out)) & np.uint64((1 << w) - 1)
 
 
+def _register_steps(reg: int, spec: CrcSpec, count: int) -> list:
+    """`reg` followed by its next `count` values under zero input bits."""
+    w = spec.width
+    out = [reg]
+    if spec.reflect:
+        poly = _reflect_int(spec.polynomial, w)
+        for _ in range(count):
+            reg = (reg >> 1) ^ (poly if reg & 1 else 0)
+            out.append(reg)
+    else:
+        mask, top = (1 << w) - 1, 1 << (w - 1)
+        for _ in range(count):
+            reg = ((reg << 1) & mask) ^ (spec.polynomial if reg & top else 0)
+            out.append(reg)
+    return out
+
+
+@lru_cache(maxsize=16)
+def _crc_affine(spec: CrcSpec, nbits: int):
+    """(G, c) with tail = (m @ G + c) mod 2 for every nbits-bit row m.
+
+    The register is affine in the input bits over GF(2): a one at input j
+    enters as the feedback polynomial and then shifts through the remaining
+    nbits - 1 - j zero-input steps, and the initial value shifts through all
+    nbits steps. So O(nbits) register steps build G, one row per bit.
+    Columns follow the tail order of `_crc_tails`. Float entries make the
+    product one BLAS call; its sums stay exact below 2^24 (float32) and
+    2^53 (float64).
+    """
+    w = spec.width
+    poly = _reflect_int(spec.polynomial, w) if spec.reflect else spec.polynomial
+    impulse = _register_steps(poly, spec, nbits - 1)
+    reg = _register_steps(spec.init, spec, nbits)[-1]
+    shifts = range(w) if spec.reflect else range(w - 1, -1, -1)
+    rows = np.array(impulse[::-1], dtype=np.uint64)[:, None]
+    G = ((rows >> np.array(shifts, dtype=np.uint64)) & np.uint64(1)).astype(
+        np.float32 if nbits < 1 << 24 else np.float64)
+    c = np.array([((reg ^ spec.xor_out) >> s) & 1 for s in shifts], dtype=np.uint8)
+    G.setflags(write=False)
+    c.setflags(write=False)
+    return G, c
+
+
 def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
     """The `spec.width` CRC bits to append to each row of a bit matrix.
 
     Reflected CRCs emit the register LSB first; unreflected ones MSB first.
     """
-    if spec.reflect:
-        shifts = np.arange(spec.width, dtype=np.uint64)
-    else:
-        shifts = np.arange(spec.width - 1, -1, -1, dtype=np.uint64)
-    regs = crc_remainder_rows(rows, spec)
-    return ((regs[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    G, c = _crc_affine(spec, rows.shape[1])
+    return ((rows.astype(G.dtype) @ G).astype(np.int64) & 1).astype(np.uint8) ^ c
 
 
 def crc_append(info, spec: CrcSpec = CRC32) -> Bits:

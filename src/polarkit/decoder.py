@@ -66,7 +66,15 @@ def f_llr(a, b):
     """Check-node update: sign(a)sign(b)min(|a|,|b|)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    # two buffers instead of four temporaries: at decoder sizes allocating
+    # fresh memory costs more than the arithmetic
+    out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
+    tmp = np.empty_like(out)
+    np.minimum(np.abs(a, out=out), np.abs(b, out=tmp), out=out)
+    # the sign comes from a*b, which is NaN for 0*inf; min(|a|,|b|) is 0 there
+    with np.errstate(invalid="ignore"):
+        np.multiply(a, b, out=tmp)
+    return np.copysign(out, tmp, out=out)[()]
 
 
 def g_llr(a, b, partial):
@@ -184,12 +192,60 @@ class _ExpandPlan:
                 group_free[g, f] = base + free
         self.group_free = group_free
         ve = _sym_of_ve(M)
-        self.sym_table = ve[group_free[:, :, None], group_free[:, None, :]]
+        # narrow: the candidate-major gather reads it through flat indices
+        self.sym_table = ve[group_free[:, :, None], group_free[:, None, :]].astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
 def _expand_plan(mask: tuple) -> _ExpandPlan:
     return _ExpandPlan(pattern_plan(mask))
+
+
+# Tie keys of _first_k lie below this bound (symbol values and candidate
+# indices are below 2^M).
+_TIE_SPAN = 1 << LEAF_SPAN
+
+
+def _first_k(key, k: int, tie=None):
+    """(keys, ties) of the k entries of each column that come first in
+    (key, tie) order, as (k, columns) arrays; `key` is used as scratch.
+
+    Candidates run along axis 0 and independent rows along the contiguous
+    last axis, so every step is a short reduction over axis 0. `tie` holds
+    integers in [0, _TIE_SPAN), distinct within a column, and broadcasts
+    against `key`; None means the position on axis 0. NaN keys come after
+    every number, ordered by tie, as a stable sort by key of tie-ordered
+    entries puts them.
+    """
+    positional = tie is None
+    if positional:
+        tie = np.arange(key.shape[0])[:, None]
+    # rank > _TIE_SPAN for numbers, <= _TIE_SPAN for NaN; the larger goes first
+    rank = 2 * _TIE_SPAN - np.asarray(tie, dtype=np.uint16)
+    has_nan = np.isnan(key.sum())  # a NaN anywhere makes the sum NaN
+    if has_nan:
+        nan = np.isnan(key)
+        rank = rank - nan.astype(np.uint16) * _TIE_SPAN
+        key[nan] = np.inf
+    cols = np.arange(key.shape[1])
+    keys = np.empty((k, key.shape[1]))
+    ranks = np.empty((k, key.shape[1]), dtype=np.uint16)
+    for i in range(k):
+        # taken entries hold NaN, which fmin skips and == never matches
+        keys[i] = np.fmin.reduce(key, axis=0)
+        hit = (key == keys[i]) * rank
+        ranks[i] = hit.max(axis=0)
+        if i + 1 == k:
+            break
+        if positional:
+            key[(2 * _TIE_SPAN - ranks[i]) % _TIE_SPAN, cols] = np.nan
+        else:
+            key[hit == ranks[i]] = np.nan
+    ties = 2 * _TIE_SPAN - ranks
+    if has_nan:
+        keys[ties >= _TIE_SPAN] = np.nan
+        ties %= _TIE_SPAN
+    return keys, ties
 
 
 def leaf_metrics_rcc(llrs):
@@ -219,36 +275,32 @@ def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int, stats: ExpansionStats | N
     """
     G, F = plan.group_free.shape
     k = min(q, F)
-    t1g = t1[..., plan.group_free]  # (..., G, F)
-    t2g = t2[..., plan.group_free]
+    lead = t1.shape[:-1]
+    R = int(np.prod(lead))
+    # candidate-major: half-symbol hypotheses on axis 0, (group, row) after
+    t1g = np.ascontiguousarray(t1.reshape(R, -1).T)[plan.group_free.T]  # (F, G, R)
+    t2g = np.ascontiguousarray(t2.reshape(R, -1).T)[plan.group_free.T]
     if k < F:
-        o1 = np.argsort(t1g, axis=-1, kind="stable")[..., :k]
-        o2 = np.argsort(t2g, axis=-1, kind="stable")[..., :k]
-        t1s = np.take_along_axis(t1g, o1, axis=-1)
-        t2s = np.take_along_axis(t2g, o2, axis=-1)
+        # per group, the k best of each half table by (penalty, position)
+        t1s, o1 = (a.reshape(k, G, R) for a in _first_k(t1g.reshape(F, G * R), k))
+        t2s, o2 = (a.reshape(k, G, R) for a in _first_k(t2g.reshape(F, G * R), k))
         if stats is not None:
             stats.record_sort(F, k, 2 * G)
     else:
-        o1 = o2 = np.broadcast_to(np.arange(F), t1g.shape)
+        o1 = o2 = np.arange(F, dtype=np.uint16)[:, None, None]
         t1s, t2s = t1g, t2g
-    pen = t1s[..., :, None] + t2s[..., None, :]  # (..., G, k, k)
+    pen = t1s[:, None] + t2s[None, :]  # (k, k, G, R)
     if stats is not None:
         stats.step2_sums += G * k * k
-    g_idx = np.arange(G)[:, None, None]
-    sym = plan.sym_table[g_idx, o1[..., :, None], o2[..., None, :]]
+    g_off = (np.arange(G, dtype=np.uint16) * F * F)[:, None]
+    sym = plan.sym_table.take((o1 * F + g_off)[:, None] + o2[None, :])
     C = G * k * k
-    pen = pen.reshape(pen.shape[:-3] + (C,))
-    sym = sym.reshape(sym.shape[:-3] + (C,))
     q_eff = min(q, C)
-    # candidate order: (penalty, symbol value)
-    by_sym = np.argsort(sym, axis=-1, kind="stable")
-    pen = np.take_along_axis(pen, by_sym, axis=-1)
-    sym = np.take_along_axis(sym, by_sym, axis=-1)
-    by_pen = np.argsort(pen, axis=-1, kind="stable")[..., :q_eff]
+    # candidate order: (penalty, symbol value); symbols are distinct per row
+    pen, sym = _first_k(pen.reshape(C, R), q_eff, sym.reshape(C, -1))
     if stats is not None and C > q_eff:
         stats.record_sort(C, q_eff, 1)
-    return (np.take_along_axis(pen, by_pen, axis=-1),
-            np.take_along_axis(sym, by_pen, axis=-1))
+    return pen.T.reshape(lead + (q_eff,)), sym.T.astype(np.int64).reshape(lead + (q_eff,))
 
 
 def _top_l(pm, pens, syms, L: int):
@@ -316,22 +368,18 @@ def repetition_candidates(alpha):
 
 def rate1_candidates(alpha):
     """(penalties, symbols) for the hard decision and flips of the two least
-    reliable positions; candidate order is the enumeration order."""
+    reliable positions (first positions among equal magnitudes); candidate
+    order is the enumeration order."""
     a = np.asarray(alpha, dtype=np.float64)
-    M = a.shape[-1]
-    absa = np.abs(a)
-    h = hard_decision(a)
-    o = np.argsort(absa, axis=-1, kind="stable")[..., :2]
-    m1 = np.take_along_axis(absa, o[..., 0:1], axis=-1)[..., 0]
-    m2 = np.take_along_axis(absa, o[..., 1:2], axis=-1)[..., 0]
-    pens = np.stack([np.zeros_like(m1), m1, m2, m1 + m2], axis=-1)
+    lead, M = a.shape[:-1], a.shape[-1]
+    aT = a.reshape(-1, M).T  # positions on axis 0
+    (m1, m2), (i1, i2) = _first_k(np.abs(aT, out=np.empty(aT.shape)), 2)
+    pens = np.stack([np.zeros_like(m1), m1, m2, m1 + m2])
     w = 1 << np.arange(M - 1, -1, -1)
-    packed = (h.astype(np.int64) * w).sum(axis=-1)
-    b1 = np.take_along_axis(np.broadcast_to(w, h.shape), o[..., 0:1], axis=-1)[..., 0]
-    b2 = np.take_along_axis(np.broadcast_to(w, h.shape), o[..., 1:2], axis=-1)[..., 0]
-    cw_vals = np.stack([packed, packed ^ b1, packed ^ b2, packed ^ b1 ^ b2], axis=-1)
-    syms = _sym_of_codeword(M)[cw_vals]
-    return pens, syms
+    packed = ((aT < 0) * w[:, None]).sum(axis=0)
+    b1, b2 = w[i1], w[i2]
+    cw_vals = np.stack([packed, packed ^ b1, packed ^ b2, packed ^ b1 ^ b2])
+    return pens.T.reshape(lead + (4,)), _sym_of_codeword(M)[cw_vals.T].reshape(lead + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +483,13 @@ class _ListDecoder:
         return len(self._log)
 
     def _mat(self, arr, stamp):
-        """View of `arr` (written at `stamp`) in the current path order."""
+        """View of `arr` (written at `stamp`) in the current path order.
+
+        An array with a path axis of length one holds one value for every
+        path of its frame and is returned as is; it broadcasts.
+        """
         log = self._log
-        if stamp == len(log):
+        if stamp == len(log) or arr.shape[1] == 1:
             return arr
         rows = self._rows
         perm = log[-1]
@@ -447,7 +499,9 @@ class _ListDecoder:
 
     def _select(self, pens, syms, node: _Leaf):
         """Prune (or per-path pick) candidates; returns selected symbols."""
-        B, A, C = pens.shape
+        B, A = self._pm.shape
+        if pens.shape[1] != A:  # candidates of a path-invariant leaf input
+            pens = np.broadcast_to(pens, (B, A, pens.shape[-1]))
         syms = np.broadcast_to(syms, pens.shape)
         if node.start < self.theta:
             parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
@@ -491,10 +545,17 @@ class _ListDecoder:
         c_left, s_left = self._walk(node.left, left_llr, self._now())
         a = self._mat(alpha, stamp)
         cl = self._mat(c_left, s_left)
-        right_llr = a[..., 1::2] + (1.0 - 2.0 * cl.astype(np.float64)) * a[..., 0::2]
+        # g: b + (1 - 2c)a, built in one buffer (see f_llr); either input may
+        # have a path axis of length one
+        a0, a1 = a[..., 0::2], a[..., 1::2]
+        B, half = a0.shape[0], a0.shape[2]
+        right_llr = np.multiply(cl, -2.0, out=np.empty((B, max(a0.shape[1], cl.shape[1]), half)))
+        right_llr += 1.0
+        right_llr *= a0
+        right_llr += a1
         c_right, _ = self._walk(node.right, right_llr, self._now())
         cl = self._mat(c_left, s_left)
-        c = np.empty(c_right.shape[:-1] + (node.span,), dtype=np.uint8)
+        c = np.empty((B, max(cl.shape[1], c_right.shape[1]), node.span), dtype=np.uint8)
         c[..., 0::2] = cl ^ c_right
         c[..., 1::2] = c_right
         return c, self._now()

@@ -134,6 +134,10 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
     if batch < 1 or max_frames < 1:
         raise ValueError("batch_frames and max_frames must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if target_fe < 0:
+        raise ValueError("target_fe must be >= 0 (0 disables early stop)")
     args = (code, crc, cfg, channel, param, seed)
     starts = range(0, max_frames, batch)
     frames = bit_errors = frame_errors = 0
@@ -146,7 +150,7 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
         frame_errors += fe
         return target_fe > 0 and frame_errors >= target_fe
 
-    if workers <= 1:
+    if workers == 1:
         for s in starts:
             if consume(_run_batch(*args, s, min(batch, max_frames - s), quantize)):
                 break

@@ -123,6 +123,45 @@ def test_crc_check_rows_matches_scalar(rng):
     assert crc_check_rows(pk.crc_append(payloads, spec), spec).all()
 
 
+def bit_serial_tails(rows, spec):
+    """CRC tails from the bit-serial register: LSB first when reflected,
+    MSB first otherwise."""
+    if spec.reflect:
+        shifts = np.arange(spec.width, dtype=np.uint64)
+    else:
+        shifts = np.arange(spec.width - 1, -1, -1, dtype=np.uint64)
+    regs = crc_remainder_rows(rows, spec)
+    return ((regs[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+CRC_SPECS = [
+    CrcSpec(width=8, polynomial=0x07, init=0, xor_out=0, reflect=False),
+    CrcSpec(width=8, polynomial=0x31, init=0xFF, xor_out=0x5A, reflect=True),
+    CrcSpec(width=11, polynomial=0x385, init=0x01A, xor_out=0, reflect=False),
+    CrcSpec(width=11, polynomial=0x385, init=0, xor_out=0x7FF, reflect=True),
+    CrcSpec(width=16, polynomial=0x1021, init=0xFFFF, xor_out=0, reflect=False),
+    CrcSpec(width=16, polynomial=0x8005, init=0, xor_out=0xFFFF, reflect=True),
+    CrcSpec(width=32, polynomial=0x04C11DB7, init=0, xor_out=0, reflect=False),
+    CRC32,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CRC_SPECS), st.integers(1, 1500), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_affine_crc_matches_bit_serial(spec, length, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(count, length), dtype=np.uint8)
+    words = pk.crc_append(rows, spec)
+    assert np.array_equal(words[:, length:], bit_serial_tails(rows, spec))
+    assert np.array_equal(pk.crc_append(rows[0], spec), words[0])
+    bad = words.copy()
+    bad[np.arange(count), rng.integers(0, length + spec.width, count)] ^= rng.integers(
+        0, 2, count, dtype=np.uint8)
+    want = (bit_serial_tails(bad[:, :length], spec) == bad[:, length:]).all(axis=1)
+    assert np.array_equal(crc_check_rows(bad, spec), want)
+
+
 def test_crc_spec_validation():
     with pytest.raises(ValueError):
         CrcSpec(width=0, polynomial=1, init=0, xor_out=0)

@@ -101,7 +101,8 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     monkeypatch.setattr(sim, "_run_batch", no_batch)
     cfg = ModeConfig.mode1()
     for kw in (dict(batch_frames=-3), dict(batch_frames=0), dict(max_frames=0),
-               dict(max_frames=-5)):
+               dict(max_frames=-5), dict(workers=0), dict(workers=-3),
+               dict(target_fe=-5)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, "awgn", 2.0, **kw)
     for channel, param in (("bec", 1.5), ("bec", 0.0), ("fading", 1.0)):
@@ -174,6 +175,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "2.0", "--batch-frames", "-3"],
     ["--snr", "2.0", "--batch-frames", "0"],
     ["--eps", "1.5"],
+    ["--snr", "2.0", "--workers", "0"],
+    ["--snr", "2.0", "--workers", "-3"],
+    ["--snr", "2.0", "--target-fe", "-5"],
 ])
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
@@ -183,6 +187,16 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["mode4", "mode2", "mode1"])
+def test_cli_simulate_theta_outside_mode4_1_exits_2(mode, tmp_path, small_code, capsys):
+    _, codefile = small_code
+    assert main(["simulate", "--code", str(codefile), "--mode", mode, "--theta", "5",
+                 "--snr", "2.0", "--frames", "64", "--out", str(tmp_path / "th")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --theta applies only to --mode mode4_1"]
+    assert not (tmp_path / "th.csv").exists()
 
 
 @pytest.mark.parametrize("step", ["0", "-0.05"])
