@@ -21,6 +21,10 @@ frozen pattern and the schedule:
 Path state lives in parallel arrays over (frame batch, list). Pruning never
 copies LLR stacks: each stacked array carries the prune-log epoch it was
 written at, and reads compose the intervening parent permutations on the fly.
+Where paths decode alone (list size one, or past the mode4_1 switching point)
+each select takes every path's own best candidate and keeps the path in its
+place; such selects log nothing, so the epoch stops advancing and reads
+compose nothing.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -497,24 +501,34 @@ class _ListDecoder:
             perm = P[rows, perm]
         return arr[rows, perm]
 
+    def _alone(self, node) -> bool:
+        """True where every path decodes by itself: list size one, or the
+        per-path continuation after the mode switching point."""
+        return self.L == 1 or node.start >= self.theta
+
     def _select(self, pens, syms, node: _Leaf):
         """Prune (or per-path pick) candidates; returns selected symbols."""
         B, A = self._pm.shape
         if pens.shape[1] != A:  # candidates of a path-invariant leaf input
             pens = np.broadcast_to(pens, (B, A, pens.shape[-1]))
         syms = np.broadcast_to(syms, pens.shape)
-        if node.start < self.theta:
-            parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
+        if self._alone(node):
+            # every path keeps its place: nothing to log or to reconstruct.
+            # Before theta (so at L=1) this is the list prune of one path,
+            # keyed by pm + penalty, where a penalty lost to rounding ties
+            key = pens if node.start >= self.theta else self._pm[:, :, None] + pens
+            pick = (self._rows, np.arange(A), key.argmin(axis=2))
+            new_pm = self._pm + pens[pick]
+            sym_sel = syms[pick]
+            parent = None
         else:
-            cand = pens.argmin(axis=2)
-            parent = np.broadcast_to(np.arange(A), (B, A))
-            new_pm = self._pm + pens[self._rows, parent, cand]
-            sym_sel = syms[self._rows, parent, cand]
+            parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
+            self._log.append(parent)
         if self._trace is not None:
-            self._trace.append((self._pm.copy(), parent, new_pm.copy()))
+            kept = np.broadcast_to(np.arange(A), (B, A)) if parent is None else parent
+            self._trace.append((self._pm.copy(), kept, new_pm.copy()))
         self._pm = new_pm
-        self._log.append(parent)
-        self._events.append((node, sym_sel))
+        self._events.append((node, sym_sel, parent))
         return sym_sel
 
     # -- tree walk -------------------------------------------------------------
@@ -535,9 +549,8 @@ class _ListDecoder:
 
     def _walk(self, node, alpha, stamp):
         if isinstance(node, _Leaf):
-            if node.fallback is not None and (self.L == 1 or node.start >= self.theta):
-                # classic SC semantics: list size one, or the per-path
-                # continuation after the mode switching point
+            if node.fallback is not None and self._alone(node):
+                # classic SC semantics where paths decode alone
                 return self._walk(node.fallback, alpha, stamp)
             return self._leaf(node, self._mat(alpha, stamp)), self._now()
         a = self._mat(alpha, stamp)
@@ -584,11 +597,13 @@ class _ListDecoder:
     def _reconstruct(self, B):
         A = self._pm.shape[1]
         u = np.zeros((B, A, self.code.N), dtype=np.uint8)
-        perm = np.broadcast_to(np.arange(A), (B, A)).copy()
+        perm = None  # identity until the last prune is passed, walking back
         rows = self._rows
-        for (node, sym), P in zip(reversed(self._events), reversed(self._log)):
-            u[:, :, node.start : node.start + node.span] = node.bits[sym[rows, perm]]
-            perm = P[rows, perm]
+        for node, sym, parent in reversed(self._events):
+            u[:, :, node.start : node.start + node.span] = node.bits[
+                sym if perm is None else sym[rows, perm]]
+            if parent is not None:
+                perm = parent if perm is None else parent[rows, perm]
         return u
 
     def _pick_winner(self, u_all, pm_all, crc):

@@ -4,7 +4,9 @@ Frames are generated and decoded in fixed-size batches. Frame i's payload and
 noise depend only on (seed, i), and the early-stop rule (cumulative frame
 errors >= target) is evaluated at batch boundaries in frame-index order, so
 tallies are byte-identical for any worker count. The batch size is part of
-the reproducibility contract.
+the reproducibility contract. With several workers each worker decodes one
+batch at a time; when a batch stops the point, at most workers - 1 later
+batches have been decoded, and their tallies are discarded.
 
 SNR convention: Eb/N0 in dB with rate = K/N, K counting CRC bits.
 """
@@ -138,8 +140,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
         raise ValueError("workers must be >= 1")
     if target_fe < 0:
         raise ValueError("target_fe must be >= 0 (0 disables early stop)")
-    args = (code, crc, cfg, channel, param, seed)
     starts = range(0, max_frames, batch)
+    workers = min(workers, len(starts))
     frames = bit_errors = frame_errors = 0
 
     def consume(res):
@@ -150,24 +152,26 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
         frame_errors += fe
         return target_fe > 0 and frame_errors >= target_fe
 
+    def job(s):
+        return (code, crc, cfg, channel, param, seed, s, min(batch, max_frames - s), quantize)
+
     if workers == 1:
         for s in starts:
-            if consume(_run_batch(*args, s, min(batch, max_frames - s), quantize)):
+            if consume(_run_batch(*job(s))):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # batches are consumed in frame-index order, at most 2*workers in flight
-            inflight = deque()
-            for s in starts:
-                inflight.append(pool.submit(_run_batch, *args, s,
-                                            min(batch, max_frames - s), quantize))
-                if len(inflight) == 2 * workers and consume(inflight.popleft().result()):
+            # one batch per worker, consumed in frame-index order: each batch
+            # starts when submitted, and a stop leaves at most workers - 1
+            # batches running, whose tallies are discarded
+            inflight = deque(pool.submit(_run_batch, *job(s)) for s in starts[:workers])
+            for s in starts[workers:]:
+                if consume(inflight.popleft().result()):
                     break
+                inflight.append(pool.submit(_run_batch, *job(s)))
             else:
                 while inflight and not consume(inflight.popleft().result()):
                     pass
-            for fut in inflight:
-                fut.cancel()
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
     return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.effective_theta,

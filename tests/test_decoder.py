@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.core import CRC32, crc_check_rows
+from polarkit.core import CRC32, CrcSpec, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
+    _Branch,
+    _build_tree,
     aml_expand_prune,
     decode_frames,
     f_llr,
@@ -19,7 +21,7 @@ from polarkit.decoder import (
     repetition_candidates,
 )
 from polarkit.oracle import bruteforce_symbol_topL, exhaustive_ml, plain_sc, valid_symbols
-from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern
+from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern, NodeKind
 
 from conftest import make_noisy_frames
 
@@ -278,15 +280,44 @@ def test_mode4_1_theta_zero_is_single_path_sc(rng):
     assert np.array_equal(a, plain_sc(code, llrs))
 
 
-def test_decode_batch_independence(rng):
-    # each row of a batch decodes as if it were alone
-    code = pk.select_frozen(pk.bec_reliability(6, 0.5), 40, crc_width=32)
-    _, llrs = make_noisy_frames(code, 4, 1.0, rng, crc=CRC32)
-    for cfg in (ModeConfig.mode1(), ModeConfig.mode2(), ModeConfig.mode4_1(theta=32)):
-        u, pm, ok = _decode(code, llrs, cfg, crc=CRC32)
-        for i in range(len(llrs)):
-            ui, pmi, oki = _decode(code, llrs[i : i + 1], cfg, crc=CRC32)
-            assert np.array_equal(u[i], ui[0]) and pm[i] == pmi[0] and ok[i] == oki[0]
+def _selects_from(node, theta):
+    """Selects a decode makes at schedule leaves starting at or after theta
+    (there every path continues alone, bit-serially where a leaf has a
+    bit-serial fallback)."""
+    if isinstance(node, _Branch):
+        return _selects_from(node.left, theta) + _selects_from(node.right, theta)
+    if node.start < theta:
+        return 0
+    if node.fallback is not None:
+        return _selects_from(node.fallback, theta)
+    return int(node.kind is not NodeKind.RATE0)
+
+
+_CRC4 = CrcSpec(width=4, polynomial=0x3, init=0, xor_out=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.booleans(), st.integers(0, 4),
+       st.sampled_from((2, 4)), st.sampled_from(("fast", "dnc")))
+def test_decode_batch_independence(seed, n, with_crc, quarters, L, schedule):
+    # each row of a batch decodes as if it were alone, for mode4_1 at any theta;
+    # past theta every select keeps each path in its place
+    code, rng = _hypothesis_code(seed, n, (1 << n) - 1, True)
+    crc = _CRC4 if with_crc and code.K > _CRC4.width else None
+    theta = quarters * code.N // 4
+    kw = dict(L=L, theta=theta, schedule=schedule, crc=crc)
+    _, llrs = make_noisy_frames(code, 4, 1.0, rng, crc=crc)
+    trace = []
+    u, pm, ok = decode_frames(code, llrs, pm_trace=trace, **kw)
+    for i in range(len(llrs)):
+        ui, pmi, oki = decode_frames(code, llrs[i : i + 1], **kw)
+        assert np.array_equal(u[i], ui[0]) and pm[i] == pmi[0]
+        assert (ok is None and oki is None) or ok[i] == oki[0]
+    after = _selects_from(_build_tree(code.frozen_mask.tobytes(), schedule), theta)
+    assert after <= len(trace)
+    for old, parent, new in trace[len(trace) - after :]:
+        assert np.array_equal(parent, np.broadcast_to(np.arange(old.shape[1]), old.shape))
+        assert np.all(new >= old - 1e-12)  # penalties from leaf_metrics_rcc round
 
 
 def test_crc_aided_selection(rng):

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -39,12 +41,71 @@ def test_simulate_point_tallies_consistent(small_code):
     assert pt.ber == pt.bit_errors / (pt.frames * code.K)
 
 
+# (max_frames, target_fe, index of the last batch) under seed 3, 64-frame
+# batches: stops on an odd and an even batch, and a frame cap that is not a
+# multiple of the batch size without early stop
+_STOP_CASES = ((3000, 25, 7), (3000, 30, 8), (1000, 0, 15))
+
+
 def test_simulate_worker_count_invariance(small_code):
     code, _ = small_code
+    for max_frames, target_fe, last in _STOP_CASES:
+        kw = dict(seed=3, target_fe=target_fe, max_frames=max_frames, batch_frames=64)
+        a = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=1, **kw)
+        assert (a.frames + 63) // 64 - 1 == last
+        for workers in (2, 3):
+            b = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=workers, **kw)
+            assert a == b, (max_frames, target_fe, workers)
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """Thread pool standing in for the process pool; records its sizes."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.fixture
+def thread_pool(monkeypatch):
+    """Runs simulate_point's pool on threads; yields the start frames of the
+    batches that ran, in order."""
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    started, lock, run = [], threading.Lock(), sim._run_batch
+
+    def counting(*args):
+        with lock:
+            started.append(args[6])
+        return run(*args)
+
+    monkeypatch.setattr(sim, "_run_batch", counting)
+    return started
+
+
+def test_simulate_pool_sized_to_the_batches(small_code, thread_pool):
+    code, _ = small_code
+    cfg = ModeConfig.mode1()
+    # one batch runs in-process, two batches need two workers of eight
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=64, batch_frames=64, workers=8)
+    assert _RecordingPool.sizes == [] and thread_pool == [0]
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=128, batch_frames=64, workers=8)
+    assert _RecordingPool.sizes == [2] and sorted(thread_pool[1:]) == [0, 64]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_simulate_speculation_bounded_by_workers(small_code, thread_pool, workers):
+    code, _ = small_code
     kw = dict(seed=3, target_fe=25, max_frames=3000, batch_frames=64)
-    a = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=1, **kw)
-    b = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=2, **kw)
-    assert a == b
+    pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=workers, **kw)
+    stop = pt.frames // 64 - 1
+    assert stop == 7 and _RecordingPool.sizes == [workers]
+    # every batch up to the stop, and at most workers - 1 beyond it
+    assert sorted(thread_pool) == [64 * i for i in range(len(thread_pool))]
+    assert stop < len(thread_pool) <= stop + workers
+    assert pt == simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=1, **kw)
 
 
 def test_simulate_seed_changes_results(small_code):
