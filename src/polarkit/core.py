@@ -49,7 +49,9 @@ def bit_reverse_permute(v) -> np.ndarray:
     """
     v = np.asarray(v)
     n = _log2_exact(v.shape[-1])
-    return v[..., bitrev_indices(n)]
+    # np.take writes a fresh C-ordered array; fancy indexing on the last
+    # axis of a batch returns a transposed layout
+    return np.take(v, bitrev_indices(n), axis=-1)
 
 
 def polar_transform(u) -> Bits:
@@ -60,7 +62,7 @@ def polar_transform(u) -> Bits:
     twice gives back the input.
     """
     u = np.asarray(u, dtype=np.uint8)
-    x = bit_reverse_permute(u).copy()
+    x = bit_reverse_permute(u)  # fresh and C-ordered: updated in place below
     shape = x.shape
     span = shape[-1]
     _log2_exact(span)

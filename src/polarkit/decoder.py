@@ -18,13 +18,14 @@ frozen pattern and the schedule:
               divide-and-conquer unit (exhaustive when q is large enough).
 * 'bitwise' - no shortcuts; single-bit leaves (reference schedule).
 
-Path state lives in parallel arrays over (frame batch, list). Pruning never
-copies LLR stacks: each stacked array carries the prune-log epoch it was
-written at, and reads compose the intervening parent permutations on the fly.
-Where paths decode alone (list size one, or past the mode4_1 switching point)
-each select takes every path's own best candidate and keeps the path in its
-place; such selects log nothing, so the epoch stops advancing and reads
-compose nothing.
+Path state lives in parallel arrays over (frame batch, list). Nothing keeps
+a global record of prunes: each subtree returns, with its partial sums and
+input bits, the path each survivor descends from, and its parent node
+gathers the few arrays it still holds (the node's LLRs after the left child,
+the left child's partial sums and bits after the right child) by those
+indices. Where paths decode alone (list size one, or past the mode4_1
+switching point) each select takes every path's own best candidate and keeps
+the path in its place, so it moves no path and nothing is gathered.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -330,8 +331,10 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     metrics over all (path, candidate) pairs survive, ties ordered by
     (metric, path index, symbol value).
 
-    Returns (parents, symbols, metrics); a leading batch axis mirrors the
-    input (path_metrics may be (P,) or (B, P)).
+    Leaf LLRs are clamped to +-BEC_LLR_CLAMP, as decode_frames clamps
+    channel LLRs, so infinite inputs give finite metrics. Returns (parents,
+    symbols, metrics); a leading batch axis mirrors the input (path_metrics
+    may be (P,) or (B, P)).
     """
     if pattern.kind is not NodeKind.RATE_R2:
         raise ValueError("pattern must classify as a mixed (rate-R-2) node")
@@ -340,7 +343,8 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     pm = np.asarray(path_metrics, dtype=np.float64)
     single = pm.ndim == 1
     pm = np.atleast_2d(pm)
-    llr = np.asarray(leaf_llrs, dtype=np.float64).reshape(pm.shape + (pattern.M,))
+    llr = np.clip(np.asarray(leaf_llrs, dtype=np.float64), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
+    llr = llr.reshape(pm.shape + (pattern.M,))
     t1, t2 = leaf_metrics_rcc(llr)
     pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q, stats)
     parents, symbols, metrics = _top_l(pm, pen, sym, L)
@@ -460,9 +464,11 @@ def _build_tree(mask_bytes: bytes, schedule: str):
 class _ListDecoder:
     """Decodes a batch of frames, each with list size L, sharing one schedule.
 
-    Holds per-call state between decode() entry and exit, so one instance
-    must not run concurrent decodes; decode_frames builds a fresh instance
-    per call.
+    The path order lives in one place: the (c, u, parents) that `_walk`
+    returns for every subtree. Between decode() entry and exit the instance
+    holds the path metrics of the current list (and the optional pm_trace),
+    so one instance must not run concurrent decodes; decode_frames builds a
+    fresh instance per call.
     """
 
     def __init__(self, code: PolarCode, L: int, q: int | None, theta: int | None,
@@ -481,39 +487,20 @@ class _ListDecoder:
             raise ValueError("theta must lie in 0..N")
         self.tree = _build_tree(code.frozen_mask.tobytes(), schedule)
 
-    # -- prune-log bookkeeping ------------------------------------------------
-
-    def _now(self):
-        return len(self._log)
-
-    def _mat(self, arr, stamp):
-        """View of `arr` (written at `stamp`) in the current path order.
-
-        An array with a path axis of length one holds one value for every
-        path of its frame and is returned as is; it broadcasts.
-        """
-        log = self._log
-        if stamp == len(log) or arr.shape[1] == 1:
-            return arr
-        rows = self._rows
-        perm = log[-1]
-        for P in reversed(log[stamp:-1]):
-            perm = P[rows, perm]
-        return arr[rows, perm]
-
     def _alone(self, node) -> bool:
         """True where every path decodes by itself: list size one, or the
         per-path continuation after the mode switching point."""
         return self.L == 1 or node.start >= self.theta
 
     def _select(self, pens, syms, node: _Leaf):
-        """Prune (or per-path pick) candidates; returns selected symbols."""
+        """Prune (or per-path pick) candidates; returns (symbols, parent),
+        parent[b, j] being the path that survivor j descends from, or None
+        where every path keeps its place."""
         B, A = self._pm.shape
         if pens.shape[1] != A:  # candidates of a path-invariant leaf input
             pens = np.broadcast_to(pens, (B, A, pens.shape[-1]))
         syms = np.broadcast_to(syms, pens.shape)
         if self._alone(node):
-            # every path keeps its place: nothing to log or to reconstruct.
             # Before theta (so at L=1) this is the list prune of one path,
             # keyed by pm + penalty, where a penalty lost to rounding ties
             key = pens if node.start >= self.theta else self._pm[:, :, None] + pens
@@ -523,13 +510,11 @@ class _ListDecoder:
             parent = None
         else:
             parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
-            self._log.append(parent)
         if self._trace is not None:
             kept = np.broadcast_to(np.arange(A), (B, A)) if parent is None else parent
             self._trace.append((self._pm.copy(), kept, new_pm.copy()))
         self._pm = new_pm
-        self._events.append((node, sym_sel, parent))
-        return sym_sel
+        return sym_sel, parent
 
     # -- tree walk -------------------------------------------------------------
 
@@ -537,7 +522,8 @@ class _ListDecoder:
         kind = node.kind
         if kind is NodeKind.RATE0:
             self._pm = self._pm + rate0_penalty(alpha)
-            return np.zeros(alpha.shape, dtype=np.uint8)
+            zeros = np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8)
+            return zeros, zeros, None
         if kind is NodeKind.REPETITION:
             pens, syms = repetition_candidates(alpha)
         elif kind is NodeKind.RATE1:
@@ -545,33 +531,47 @@ class _ListDecoder:
         else:
             t1, t2 = leaf_metrics_rcc(alpha)
             pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
-        return node.codewords[self._select(pens, syms, node)]
+        sym, parent = self._select(pens, syms, node)
+        return node.codewords[sym], node.bits[sym], parent
 
-    def _walk(self, node, alpha, stamp):
+    def _walk(self, node, alpha):
+        """Decode the subtree under `node` from its LLRs `alpha`, given in
+        the path order at entry. Returns (c, u, parents): the partial sums
+        and input bits of the surviving paths, and for each survivor the
+        entry path it descends from (None where no select moved a path). A
+        path axis of length one holds one value for every path; it
+        broadcasts."""
         if isinstance(node, _Leaf):
             if node.fallback is not None and self._alone(node):
                 # classic SC semantics where paths decode alone
-                return self._walk(node.fallback, alpha, stamp)
-            return self._leaf(node, self._mat(alpha, stamp)), self._now()
-        a = self._mat(alpha, stamp)
-        left_llr = f_llr(a[..., 0::2], a[..., 1::2])
-        c_left, s_left = self._walk(node.left, left_llr, self._now())
-        a = self._mat(alpha, stamp)
-        cl = self._mat(c_left, s_left)
-        # g: b + (1 - 2c)a, built in one buffer (see f_llr); either input may
-        # have a path axis of length one
-        a0, a1 = a[..., 0::2], a[..., 1::2]
+                return self._walk(node.fallback, alpha)
+            return self._leaf(node, alpha)
+        rows = self._rows
+        c_left, u_left, p_left = self._walk(node.left, f_llr(alpha[..., 0::2], alpha[..., 1::2]))
+        if p_left is not None and alpha.shape[1] != 1:
+            alpha = alpha[rows, p_left]
+        # g: b + (1 - 2c)a, built in one buffer (see f_llr)
+        a0, a1 = alpha[..., 0::2], alpha[..., 1::2]
         B, half = a0.shape[0], a0.shape[2]
-        right_llr = np.multiply(cl, -2.0, out=np.empty((B, max(a0.shape[1], cl.shape[1]), half)))
+        right_llr = np.multiply(c_left, -2.0,
+                                out=np.empty((B, max(a0.shape[1], c_left.shape[1]), half)))
         right_llr += 1.0
         right_llr *= a0
         right_llr += a1
-        c_right, _ = self._walk(node.right, right_llr, self._now())
-        cl = self._mat(c_left, s_left)
-        c = np.empty((B, max(cl.shape[1], c_right.shape[1]), node.span), dtype=np.uint8)
-        c[..., 0::2] = cl ^ c_right
+        c_right, u_right, p_right = self._walk(node.right, right_llr)
+        parents = p_left
+        if p_right is not None:
+            if c_left.shape[1] != 1:
+                c_left, u_left = c_left[rows, p_right], u_left[rows, p_right]
+            parents = p_right if p_left is None else p_left[rows, p_right]
+        A = max(c_left.shape[1], c_right.shape[1])
+        c = np.empty((B, A, node.span), dtype=np.uint8)
+        c[..., 0::2] = c_left ^ c_right
         c[..., 1::2] = c_right
-        return c, self._now()
+        u = np.empty((B, A, node.span), dtype=np.uint8)
+        u[..., :half] = u_left
+        u[..., half:] = u_right
+        return c, u, parents
 
     # -- public ----------------------------------------------------------------
 
@@ -585,26 +585,9 @@ class _ListDecoder:
         alpha = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)[:, None, :]
         self._rows = np.arange(B)[:, None]
         self._pm = np.zeros((B, 1))
-        self._log = []
-        self._events = []
         self._trace = pm_trace
-        self._walk(self.tree, alpha, 0)
-        u_all = self._reconstruct(B)
-        pm_all = self._pm
-        self._log = self._events = None
-        return self._pick_winner(u_all, pm_all, crc)
-
-    def _reconstruct(self, B):
-        A = self._pm.shape[1]
-        u = np.zeros((B, A, self.code.N), dtype=np.uint8)
-        perm = None  # identity until the last prune is passed, walking back
-        rows = self._rows
-        for node, sym, parent in reversed(self._events):
-            u[:, :, node.start : node.start + node.span] = node.bits[
-                sym if perm is None else sym[rows, perm]]
-            if parent is not None:
-                perm = parent if perm is None else parent[rows, perm]
-        return u
+        _, u_all, _ = self._walk(self.tree, alpha)
+        return self._pick_winner(u_all, self._pm, crc)
 
     def _pick_winner(self, u_all, pm_all, crc):
         B, A, _ = u_all.shape
@@ -671,8 +654,8 @@ class ModeConfig:
             raise ValueError("mode4_1 requires a switching point theta")
         if self.q is None:
             self.q = _default_q(self.L)
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        if not 1 <= self.q <= 1 << LEAF_SPAN:
+            raise ValueError("q must lie in 1..2^M")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
 

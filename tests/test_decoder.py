@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
+from polarkit.channel import BEC_LLR_CLAMP
 from polarkit.core import CRC32, CrcSpec, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
@@ -112,6 +113,16 @@ def test_aml_validation(rng):
     with pytest.raises(ValueError):
         bad = FrozenPattern.from_string("DDDDDDDD")
         aml_expand_prune(np.zeros(2), rng.standard_normal((2, 8)), bad, 2, 2)
+
+
+def test_aml_expand_prune_clamps_infinite_llrs():
+    # clamped as decode_frames clamps them: finite metrics, not NaN
+    fp = FrozenPattern.from_string("FDDDDDDD")
+    got = aml_expand_prune(np.zeros(1), [[-np.inf, 1, 1, 1, 1, 1, 1, 1]], fp, 4, 4)
+    want = aml_expand_prune(np.zeros(1), [[-BEC_LLR_CLAMP, 1, 1, 1, 1, 1, 1, 1]], fp, 4, 4)
+    assert np.isfinite(got[2]).all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_rate0_penalty_example():
@@ -320,6 +331,82 @@ def test_decode_batch_independence(seed, n, with_crc, quarters, L, schedule):
         assert np.all(new >= old - 1e-12)  # penalties from leaf_metrics_rcc round
 
 
+def _sign_f(a, b):
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+
+
+def _bit_llr(alpha, u, i):
+    """LLR of bit i of a subtree, per path, from the subtree's channel LLRs
+    alpha (paths, span) and each path's own earlier bits u (paths, >= i)."""
+    if alpha.shape[1] == 1:
+        return alpha[:, 0]
+    h = alpha.shape[1] // 2
+    a0, a1 = alpha[:, 0::2], alpha[:, 1::2]
+    if i < h:
+        return _bit_llr(_sign_f(a0, a1), u, i)
+    c = pk.polar_transform(u[:, :h])
+    return _bit_llr(a1 + (1.0 - 2.0 * c) * a0, u[:, h:], i - h)
+
+
+def _reference_scl(code, llrs, L, theta, crc):
+    """Bit-serial SCL that copies each survivor's bits and recomputes every
+    LLR from the channel: no shared state between paths, no permutations.
+
+    The list prune keeps the L first candidates in (metric, path, bit)
+    order; from bit theta on every path takes its own better bit (0 on a
+    tie); the best metric wins, among CRC-passing paths when there are any.
+    """
+    theta = code.N if theta is None else theta
+    out_u, out_pm, out_ok = [], [], []
+    for row in np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP):
+        us, pms = [np.zeros(code.N, dtype=np.uint8)], [0.0]
+        for i in range(code.N):
+            llr = _bit_llr(np.tile(row, (len(us), 1)), np.array(us), i)
+            # penalty of each bit value: |llr| where it disagrees with hard(llr)
+            pens = [[abs(x) if bit != (x < 0) else 0.0 for bit in (0, 1)] for x in llr]
+            if code.frozen_mask[i]:
+                pms = [pm + pen[0] for pm, pen in zip(pms, pens)]
+                continue
+            if i >= theta:
+                cands = [(pm + min(pen), p, int(pen[1] < pen[0]))
+                         for p, (pm, pen) in enumerate(zip(pms, pens))]
+            else:
+                cands = sorted((pm + pen[b], p, b) for p, (pm, pen) in enumerate(zip(pms, pens))
+                               for b in (0, 1))[:L]
+            us = [us[p].copy() for _, p, _ in cands]
+            for u, (_, _, b) in zip(us, cands):
+                u[i] = b
+            pms = [metric for metric, _, _ in cands]
+        pms = np.array(pms)
+        passing = (np.zeros(len(us), dtype=bool) if crc is None
+                   else crc_check_rows(np.array(us)[:, code.info_positions], crc))
+        win = np.flatnonzero(passing)[pms[passing].argmin()] if passing.any() else pms.argmin()
+        out_u.append(us[win])
+        out_pm.append(pms[win])
+        out_ok.append(passing.any())
+    return np.array(out_u), np.array(out_pm), None if crc is None else np.array(out_ok)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.sampled_from((1, 2, 4, 8)),
+       st.sampled_from((None, 0, 0.5)), st.sampled_from(("gaussian", "bec", "integer")),
+       st.booleans())
+def test_bitwise_decode_matches_copy_based_reference(seed, n, L, theta, kind, with_crc):
+    code, rng = _hypothesis_code(seed, n, (1 << n) - 1, True)
+    crc = _CRC4 if with_crc and code.K > _CRC4.width else None
+    _, llrs = make_noisy_frames(code, 3, 1.0, rng, crc=crc)
+    if kind == "bec":
+        llrs = np.where(rng.random(llrs.shape) < 0.3, 0.0, np.sign(llrs) * np.inf)
+    elif kind == "integer":
+        llrs = np.round(llrs).clip(-3, 3)
+    theta = None if theta is None else int(theta * code.N)
+    u, pm, ok = decode_frames(code, llrs, L=L, theta=theta, schedule="bitwise", crc=crc)
+    ru, rpm, rok = _reference_scl(code, llrs, L, theta, crc)
+    assert u.tobytes() == ru.tobytes()
+    assert pm.tobytes() == rpm.tobytes()
+    assert (ok is None and rok is None) or np.array_equal(ok, rok)
+
+
 def test_crc_aided_selection(rng):
     code = pk.select_frozen(pk.bec_reliability(8, 0.5), 140, crc_width=32)
     info, llrs = make_noisy_frames(code, 400, 2.0, rng, crc=CRC32)
@@ -352,6 +439,9 @@ def test_mode_config_validation():
     for L in (0, -1):
         with pytest.raises(ValueError):
             ModeConfig.custom(L=L)
+    for q in (0, 300):
+        with pytest.raises(ValueError, match="q must"):
+            ModeConfig.custom(L=4, q=q)
     assert ModeConfig.custom(L=8, q=4).q == 4
     assert ModeConfig.custom(L=8).q == 8 and ModeConfig.custom(L=512).q == 256
     assert ModeConfig.mode1().q == 1

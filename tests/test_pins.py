@@ -1,13 +1,23 @@
-"""Bit-exactness guard: op seed 1 of every benchmark workload, rebuilt from
-public calls, must reproduce the tallies and decoded-word SHA-256 pinned in
-perfbench/pins.json, and `simulate_point` must reproduce the tallies. A
-change that moves decoded words fails here in seconds instead of only in the
-benchmark run."""
+"""Bit-exactness guards.
 
+Op seed 1 of every benchmark workload, rebuilt from public calls, must
+reproduce the tallies and decoded-word SHA-256 pinned in perfbench/pins.json,
+and `simulate_point` must reproduce the tallies. A grid of small decodes
+over codes, channels, schedules, (L, q) and theta must reproduce one pinned
+SHA-256 of every (u, path metrics, CRC flags). A change that moves decoded
+words fails here in seconds instead of only in the benchmark run.
+"""
+
+import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import polarkit as pk
+
+from conftest import make_noisy_frames
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -20,3 +30,40 @@ def test_pinned_op_seed_1(name):
     tallies, sha = workloads.rebuild_op(w, code, 1, workloads.Tracer(), 0)
     assert (tallies, sha) == workloads.load_pins(name)[1]
     assert workloads.run_op(w, code, 1, workers=1) == tallies
+
+
+_CRC8 = pk.CrcSpec(width=8, polynomial=0x07, init=0, xor_out=0, reflect=False)
+_CRC16 = pk.CrcSpec(width=16, polynomial=0x1021, init=0xFFFF, xor_out=0, reflect=False)
+# (n, K, crc): K counts the CRC bits
+_GRID_CODES = [(5, 16, None), (6, 40, _CRC8), (8, 140, _CRC16)]
+_GRID_LQ = [(1, None), (2, 1), (4, 2), (8, 4), (8, None)]
+# taken with the prune-log decoder that the walk-returned path ancestry
+# replaced; a change of this digest is a change of decoded words
+_GRID_SHA256 = "ecb1e3f16635de00fea1f968ead98ab9d97eff442f8a7e09ba07b801cb4de7b7"
+
+
+def _grid_llrs(code, crc, kind, rng):
+    _, llrs = make_noisy_frames(code, 6, 1.5, rng, crc=crc)
+    if kind == "bec":
+        return np.where(rng.random(llrs.shape) < 0.35, 0.0, np.sign(llrs) * np.inf)
+    if kind == "quantized":
+        return pk.quantize_llr(llrs, 4, 1.0)
+    return llrs
+
+
+def test_pinned_decode_grid():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(5)
+    for n, K, crc in _GRID_CODES:
+        code = pk.select_frozen(pk.bec_reliability(n, 0.4), K,
+                                crc_width=0 if crc is None else crc.width)
+        for kind in ("awgn", "bec", "quantized"):
+            llrs = _grid_llrs(code, crc, kind, rng)
+            for schedule in ("fast", "dnc", "bitwise"):
+                for L, q in _GRID_LQ:
+                    for theta in (None, 0, code.N // 2):
+                        u, pm, ok = pk.decode_frames(code, llrs, L=L, q=q, theta=theta,
+                                                     schedule=schedule, crc=crc)
+                        digest.update(u.tobytes() + pm.tobytes())
+                        digest.update(b"-" if ok is None else ok.tobytes())
+    assert digest.hexdigest() == _GRID_SHA256
