@@ -33,7 +33,6 @@ from .decoder import (
     f_llr,
     g_llr,
     leaf_metrics_rcc,
-    path_metric_update,
 )
 from .patterns import (
     EIGHT_BIT_PATTERNS,

@@ -33,9 +33,11 @@ def noise_sigma2(ebno_db: float, rate: float) -> float:
 
 
 def check_channel(channel: str, param: float) -> None:
-    """Reject an unknown channel or an erasure probability outside (0, 1)."""
+    """Reject an unknown channel, a non-finite Eb/N0 or an erasure probability outside (0, 1)."""
     if channel not in ("awgn", "bec"):
         raise ValueError("channel must be 'awgn' or 'bec'")
+    if channel == "awgn" and not np.isfinite(param):
+        raise ValueError(f"Eb/N0 must be finite, got {param}")
     if channel == "bec" and not 0.0 < param < 1.0:
         raise ValueError("erasure probability must lie in (0, 1)")
 

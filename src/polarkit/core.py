@@ -59,20 +59,29 @@ def polar_transform(u) -> Bits:
     kernel butterfly) over GF(2) along the last axis.
 
     Accepts a single bit vector or a batch of rows. Involution: applying it
-    twice gives back the input.
+    twice gives back the input. Rows of N >= 8 bits are XOR-ed as words of
+    eight bit bytes, viewed little-endian ("<u8") so byte j is bits 8j..8j+7
+    on any host: stages whose half spans whole words XOR word slices, and
+    the last three XOR byte j + h into byte j by a shift of 8h under a mask.
     """
     u = np.asarray(u, dtype=np.uint8)
     x = bit_reverse_permute(u)  # fresh and C-ordered: updated in place below
-    shape = x.shape
-    span = shape[-1]
-    _log2_exact(span)
-    x = x.reshape(-1, span)
+    N = x.shape[-1]
+    rows = x.reshape(-1, N).view("<u8") if N >= 8 else x.reshape(-1, N)
+    span = rows.shape[-1]
     while span > 1:
         half = span // 2
-        blocks = x.reshape(-1, span)
+        blocks = rows.reshape(-1, span)
         blocks[:, :half] ^= blocks[:, half:]
         span = half
-    return x.reshape(shape)
+    if N >= 8:
+        tmp = np.empty_like(rows)  # reused: fresh temporaries this size page-fault
+        for shift, mask in ((32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+                            (8, 0x00FF00FF00FF00FF)):
+            np.right_shift(rows, shift, out=tmp)
+            tmp &= mask
+            rows ^= tmp
+    return x
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,14 @@ frozen pattern and the schedule:
 * 'bitwise' - no shortcuts; single-bit leaves (reference schedule).
 
 Path state lives in parallel arrays over (frame batch, list). Nothing keeps
-a global record of prunes: each subtree returns, with its partial sums and
-input bits, the path each survivor descends from, and its parent node
-gathers the few arrays it still holds (the node's LLRs after the left child,
-the left child's partial sums and bits after the right child) by those
-indices. Where paths decode alone (list size one, or past the mode4_1
-switching point) each select takes every path's own best candidate and keeps
-the path in its place, so it moves no path and nothing is gathered.
+a global record of prunes: each subtree returns, with its partial sums, the
+path each survivor descends from, and its parent node gathers the two arrays
+it still holds (the node's LLRs after the left child, the left child's
+partial sums after the right child) by those indices. The walk carries no
+input bits: the transform is its own inverse, so u is the transform of the
+root's partial sums. Where paths decode alone (list size one, or past the
+mode4_1 switching point) each select takes every path's own best candidate
+and keeps the path in its place, so no path moves and nothing is gathered.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -50,7 +51,7 @@ LEAF_SPAN = 8
 
 __all__ = [
     "LEAF_SPAN", "ModeConfig", "decode_frames",
-    "f_llr", "g_llr", "hard_decision", "path_metric_update",
+    "f_llr", "g_llr", "hard_decision",
     "leaf_metrics_rcc", "aml_expand_prune", "classify_node",
     "rate0_penalty", "rate1_candidates", "repetition_candidates",
     "ExpansionStats",
@@ -83,19 +84,17 @@ def f_llr(a, b):
 
 
 def g_llr(a, b, partial):
-    """Variable-node update: b + (1 - 2*partial) * a."""
+    """Variable-node update: b + (1 - 2*partial) * a, partial sums in {0, 1}."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return b + (1.0 - 2.0 * np.asarray(partial, dtype=np.float64)) * a
-
-
-def path_metric_update(pm, alpha, u):
-    """pm + |alpha| when u disagrees with the hard decision, else pm."""
-    pm = np.asarray(pm, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    mismatch = np.asarray(u) != hard_decision(alpha)
-    out = pm + np.abs(alpha) * mismatch
-    return out if out.ndim else float(out)
+    partial = np.asarray(partial)
+    out = np.empty(a.shape if a.shape == b.shape == partial.shape
+                   else np.broadcast_shapes(a.shape, b.shape, partial.shape))
+    np.multiply(partial, -2.0, out=out)  # one buffer, as in f_llr
+    out += 1.0  # (1 - 2*partial) is exactly +-1
+    out *= a
+    out += b
+    return out[()]
 
 
 def _relu(x):
@@ -144,16 +143,10 @@ def _sym_of_codeword(M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rep_tables(span: int):
-    """(bits, codewords) of a repetition leaf: symbol 1 sets the last input
-    bit, whose codeword is all ones."""
-    bits = np.zeros((2, span), dtype=np.uint8)
-    bits[1, -1] = 1
-    cw = np.zeros((2, span), dtype=np.uint8)
-    cw[1] = 1
-    bits.setflags(write=False)
-    cw.setflags(write=False)
-    return bits, cw
+def _rep_codewords(span: int):
+    """Codewords of a repetition leaf: symbol 1 sets the last input bit,
+    whose codeword is all ones. Read-only."""
+    return np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (2, span))
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +392,21 @@ class _Leaf:
 
     kind is RATE0 (fixed penalty, nothing to decide), REPETITION (symbols 0
     and 1; also every single information bit), RATE1 (hard decision plus
-    flips) or RATE_R2 (divide-and-conquer expansion over `plan`). `bits` and
-    `codewords` map the leaf's symbol values to its u bits and codeword.
+    flips) or RATE_R2 (divide-and-conquer expansion over `plan`).
+    `codewords` maps the leaf's symbol values to its codeword.
     """
 
-    __slots__ = ("start", "span", "kind", "plan", "fallback", "bits", "codewords")
+    __slots__ = ("start", "span", "kind", "plan", "fallback", "codewords")
 
     def __init__(self, start, span, kind, plan=None, fallback=None):
         self.start, self.span, self.kind, self.plan = start, span, kind, plan
         # bit-serial subtree used where classic SC semantics are required
         self.fallback = fallback
-        self.bits = self.codewords = None
+        self.codewords = None
         if kind is NodeKind.REPETITION:
-            self.bits, self.codewords = _rep_tables(span)
+            self.codewords = _rep_codewords(span)
         elif kind is not NodeKind.RATE0:
-            self.bits, self.codewords = _leaf_tables(span)
+            self.codewords = _leaf_tables(span)[1]
 
 
 class _Branch:
@@ -464,11 +457,11 @@ def _build_tree(mask_bytes: bytes, schedule: str):
 class _ListDecoder:
     """Decodes a batch of frames, each with list size L, sharing one schedule.
 
-    The path order lives in one place: the (c, u, parents) that `_walk`
-    returns for every subtree. Between decode() entry and exit the instance
-    holds the path metrics of the current list (and the optional pm_trace),
-    so one instance must not run concurrent decodes; decode_frames builds a
-    fresh instance per call.
+    The path order lives in one place: the (c, parents) that `_walk`
+    returns for every subtree; `_pick_winner` derives u at the root. Between
+    decode() entry and exit the instance holds the path metrics of the
+    current list (and the optional pm_trace), so one instance must not run
+    concurrent decodes; decode_frames builds a fresh instance per call.
     """
 
     def __init__(self, code: PolarCode, L: int, q: int | None, theta: int | None,
@@ -522,8 +515,7 @@ class _ListDecoder:
         kind = node.kind
         if kind is NodeKind.RATE0:
             self._pm = self._pm + rate0_penalty(alpha)
-            zeros = np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8)
-            return zeros, zeros, None
+            return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
         if kind is NodeKind.REPETITION:
             pens, syms = repetition_candidates(alpha)
         elif kind is NodeKind.RATE1:
@@ -532,46 +524,34 @@ class _ListDecoder:
             t1, t2 = leaf_metrics_rcc(alpha)
             pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
         sym, parent = self._select(pens, syms, node)
-        return node.codewords[sym], node.bits[sym], parent
+        return node.codewords[sym], parent
 
     def _walk(self, node, alpha):
         """Decode the subtree under `node` from its LLRs `alpha`, given in
-        the path order at entry. Returns (c, u, parents): the partial sums
-        and input bits of the surviving paths, and for each survivor the
-        entry path it descends from (None where no select moved a path). A
-        path axis of length one holds one value for every path; it
-        broadcasts."""
+        the path order at entry. Returns (c, parents): the partial sums of
+        the surviving paths, and for each survivor the entry path it
+        descends from (None where no select moved a path). A path axis of
+        length one holds one value for every path; it broadcasts."""
         if isinstance(node, _Leaf):
             if node.fallback is not None and self._alone(node):
                 # classic SC semantics where paths decode alone
                 return self._walk(node.fallback, alpha)
             return self._leaf(node, alpha)
         rows = self._rows
-        c_left, u_left, p_left = self._walk(node.left, f_llr(alpha[..., 0::2], alpha[..., 1::2]))
+        c_left, p_left = self._walk(node.left, f_llr(alpha[..., 0::2], alpha[..., 1::2]))
         if p_left is not None and alpha.shape[1] != 1:
             alpha = alpha[rows, p_left]
-        # g: b + (1 - 2c)a, built in one buffer (see f_llr)
-        a0, a1 = alpha[..., 0::2], alpha[..., 1::2]
-        B, half = a0.shape[0], a0.shape[2]
-        right_llr = np.multiply(c_left, -2.0,
-                                out=np.empty((B, max(a0.shape[1], c_left.shape[1]), half)))
-        right_llr += 1.0
-        right_llr *= a0
-        right_llr += a1
-        c_right, u_right, p_right = self._walk(node.right, right_llr)
+        c_right, p_right = self._walk(node.right, g_llr(alpha[..., 0::2], alpha[..., 1::2], c_left))
         parents = p_left
         if p_right is not None:
             if c_left.shape[1] != 1:
-                c_left, u_left = c_left[rows, p_right], u_left[rows, p_right]
+                c_left = c_left[rows, p_right]
             parents = p_right if p_left is None else p_left[rows, p_right]
-        A = max(c_left.shape[1], c_right.shape[1])
-        c = np.empty((B, A, node.span), dtype=np.uint8)
+        c = np.empty((alpha.shape[0], max(c_left.shape[1], c_right.shape[1]), node.span),
+                     dtype=np.uint8)
         c[..., 0::2] = c_left ^ c_right
         c[..., 1::2] = c_right
-        u = np.empty((B, A, node.span), dtype=np.uint8)
-        u[..., :half] = u_left
-        u[..., half:] = u_right
-        return c, u, parents
+        return c, parents
 
     # -- public ----------------------------------------------------------------
 
@@ -586,23 +566,25 @@ class _ListDecoder:
         self._rows = np.arange(B)[:, None]
         self._pm = np.zeros((B, 1))
         self._trace = pm_trace
-        _, u_all, _ = self._walk(self.tree, alpha)
-        return self._pick_winner(u_all, self._pm, crc)
+        c_all, _ = self._walk(self.tree, alpha)
+        return self._pick_winner(c_all, self._pm, crc)
 
-    def _pick_winner(self, u_all, pm_all, crc):
-        B, A, _ = u_all.shape
+    def _pick_winner(self, c_all, pm_all, crc):
+        """(u, metric, crc_ok) of each frame's winner from the root partial
+        sums c_all (B, A, N); u = polar_transform(c), of the winners only
+        unless the CRC must read every path's info bits."""
+        B, A, _ = c_all.shape
+        rows = np.arange(B)
         if crc is None:
             win = pm_all.argmin(axis=1)
-            ok = None
-        else:
-            info = u_all[:, :, self.code.info_positions]
-            passing = crc_check_rows(info.reshape(B * A, -1), crc).reshape(B, A)
-            masked = np.where(passing, pm_all, np.inf)
-            has = passing.any(axis=1)
-            win = np.where(has, masked.argmin(axis=1), pm_all.argmin(axis=1))
-            ok = has
-        rows = np.arange(B)
-        return u_all[rows, win], pm_all[rows, win], ok
+            return polar_transform(c_all[rows, win]), pm_all[rows, win], None
+        u_all = polar_transform(c_all)
+        info = u_all[:, :, self.code.info_positions]
+        passing = crc_check_rows(info.reshape(B * A, -1), crc).reshape(B, A)
+        masked = np.where(passing, pm_all, np.inf)
+        has = passing.any(axis=1)
+        win = np.where(has, masked.argmin(axis=1), pm_all.argmin(axis=1))
+        return u_all[rows, win], pm_all[rows, win], has
 
 
 def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,

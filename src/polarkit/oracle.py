@@ -41,11 +41,11 @@ def generator_matrix(N: int) -> np.ndarray:
 
 def matrix_encode(u) -> np.ndarray:
     """Encode by explicit GF(2) matrix multiplication (rows or one vector)."""
-    u = np.atleast_2d(np.asarray(u, dtype=np.uint8))
-    G = generator_matrix(u.shape[1])
-    x = u.astype(np.int64) @ G.astype(np.int64) % 2
-    x = x.astype(np.uint8)
-    return x[0] if x.shape[0] == 1 and np.asarray(u).ndim == 1 else x
+    u = np.asarray(u, dtype=np.uint8)
+    rows = np.atleast_2d(u)
+    G = generator_matrix(rows.shape[1])
+    x = (rows.astype(np.int64) @ G.astype(np.int64) % 2).astype(np.uint8)
+    return x[0] if u.ndim == 1 else x
 
 
 def _hard(llr):

@@ -45,6 +45,12 @@ class SweepSpec:
     quantize_step: float | None = None
 
     def __post_init__(self):
+        if self.quantize_bits is None and self.quantize_step is not None:
+            raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
+        if self.quantize_bits is not None and self.quantize_bits < 2:
+            raise ValueError("quantizer bits must be >= 2")
+        if self.quantize_step is not None and not self.quantize_step > 0:
+            raise ValueError("quantizer step must be > 0")
         if not self.points:
             raise ValueError("sweep needs at least one point")
         for p in self.points:
@@ -131,8 +137,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     `workers`.
     """
     check_channel(channel, param)
-    if crc is not None and code.K <= crc.width:
-        raise ValueError("code lacks CRC capacity (K <= crc width)")
+    if (0 if crc is None else crc.width) != code.crc_width:
+        raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
     batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
     if batch < 1 or max_frames < 1:
         raise ValueError("batch_frames and max_frames must be >= 1")

@@ -26,11 +26,26 @@ def test_encode_validates_frozen_positions():
         pk.encode(code, [0, 1])
 
 
-def test_encode_matches_matrix_oracle(rng):
-    for n in range(1, 7):
-        N = 1 << n
-        u = rng.integers(0, 2, size=(50, N), dtype=np.uint8)
-        assert np.array_equal(pk.polar_transform(u), matrix_encode(u))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 11), st.sampled_from(["vector", "rows", "stack", "broadcast", "transposed"]),
+       st.sampled_from([np.uint8, np.bool_, np.int64]), st.integers(1, 4), st.integers(0, 2**30))
+def test_encode_matches_matrix_oracle(n, layout, dtype, r, seed):
+    # n = 0..11 runs the byte stages (N < 8), every word stage and the
+    # in-word shifts; broadcast and transposed inputs are not C-contiguous
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    if layout == "broadcast":
+        u = np.broadcast_to(rng.integers(0, 2, N).astype(dtype), (r, N))
+    elif layout == "transposed":
+        u = rng.integers(0, 2, (N, r)).astype(dtype).T
+    else:
+        lead = {"vector": (), "rows": (r,), "stack": (r, 2)}[layout]
+        u = rng.integers(0, 2, lead + (N,)).astype(dtype)
+    before = u.copy()
+    got = pk.polar_transform(u)
+    assert got.dtype == np.uint8 and got.shape == u.shape
+    assert np.array_equal(got, matrix_encode(u.reshape(-1, N)).reshape(u.shape))
+    assert np.array_equal(u, before)  # the caller's array is left alone
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,6 @@ from polarkit.decoder import (
     g_llr,
     hard_decision,
     leaf_metrics_rcc,
-    path_metric_update,
     rate0_penalty,
     rate1_candidates,
     repetition_candidates,
@@ -32,13 +31,6 @@ def test_f_g_hand_values():
     assert f_llr(0.0, 5.0) == 0.0
     assert g_llr(2.0, -3.0, 0) == -1.0
     assert g_llr(2.0, -3.0, 1) == -5.0
-
-
-def test_path_metric_update_examples():
-    assert path_metric_update(0.0, 2.0, 0) == 0.0
-    assert path_metric_update(1.5, -3.0, 0) == 4.5
-    assert path_metric_update(7.0, 0.0, 0) == 7.0
-    assert path_metric_update(7.0, 0.0, 1) == 7.0  # |alpha| = 0 either way
     assert hard_decision(0.0) == 0
 
 

@@ -22,6 +22,7 @@ from polarkit.decoder import (
     _sym_of_codeword,
     aml_expand_prune,
     f_llr,
+    g_llr,
     hard_decision,
     leaf_metrics_rcc,
     rate1_candidates,
@@ -166,6 +167,22 @@ def test_f_llr_matches_sign_form(kind, seed):
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(hard_decision(got), hard_decision(want))
     assert f_llr(a[0, 0, 0], b).shape == b.shape  # broadcasting still works
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("gaussian", "integer", "zero", "huge")),
+       st.sampled_from([(1, 1), (1, 4), (4, 1), (4, 4)]), st.integers(0, 2**32 - 1))
+def test_g_llr_matches_formula_bytes(kind, paths, seed):
+    # walk LLRs are clamped to +-1e30, so no inf; path axes of one and of A
+    # broadcast either way, as in the tree walk
+    rng = np.random.default_rng(seed)
+    a_paths, c_paths = paths
+    a, b = draw_llrs(kind, (2, a_paths, 16), rng), draw_llrs(kind, (2, a_paths, 16), rng)
+    c = rng.integers(0, 2, (2, c_paths, 16), dtype=np.uint8)
+    got = g_llr(a, b, c)
+    want = b + (1 - 2 * c.astype(np.int64)) * a
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("llr_kind", ["awgn", "bec", "quantized"])

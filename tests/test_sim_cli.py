@@ -169,6 +169,13 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     for channel, param in (("bec", 1.5), ("bec", 0.0), ("fading", 1.0)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, channel, param)
+    for crc, crc_width in ((CRC32, 0), (None, 8)):  # CRC and code disagree
+        mismatched = pk.select_frozen(pk.bec_reliability(6, 0.5), 30, crc_width=crc_width)
+        with pytest.raises(ValueError, match="crc_width"):
+            simulate_point(mismatched, cfg, "awgn", 2.0, crc=crc)
+    for snr in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_point(code, cfg, "awgn", snr)
     with pytest.raises(ValueError):
         SweepSpec("bec", (0.3, 1.5))
 
@@ -239,14 +246,25 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "2.0", "--workers", "0"],
     ["--snr", "2.0", "--workers", "-3"],
     ["--snr", "2.0", "--target-fe", "-5"],
+    ["--snr", "inf"],
+    ["--snr", "1,nan"],
+    ["--snr", "2.0", "--quantize-bits", "0"],
+    ["--snr", "2.0", "--quantize-step", "0.5"],
+    ["--snr", "2.0", "--quantize-bits", "4", "--quantize-step", "0"],
 ])
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
     out = tmp_path / "bad"
     assert main(["simulate", "--code", str(codefile), "--mode", "mode1",
                  "--frames", "64", "--out", str(out), *extra]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    # options that simulate_point checks fail after the run header; none
+    # fails after a CSV row
+    out = captured.out.splitlines()
+    late = {"--batch-frames", "--workers", "--target-fe"} & set(extra)
+    assert out == [] or (late and len(out) == 1 and out[0].startswith("# code"))
     assert not (tmp_path / "bad.csv").exists()
 
 
