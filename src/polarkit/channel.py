@@ -1,8 +1,12 @@
 """Noisy-channel LLR generation: BPSK over AWGN, erasures, and quantization.
 
-Reproducibility contract: the noise of frame i under seed s depends only on
-(s, i). Each frame gets its own counter-based generator, so any partition of
-frames across workers replays identically.
+Reproducibility contract: the draws of frame i under seed s depend only on
+(s, i). `frame_rng` defines that stream: a Philox generator keyed by (s, i)
+with counter 0. `frame_rngs` replays the same streams for a run of frames from
+one generator whose state it resets per frame, which skips the key setup of a
+new generator. Either way any partition of frames across workers replays
+identically. `noise_to_llrs` is the one channel model: it turns a noise buffer
+into LLRs in place, for `channel_llrs` and for the simulator's frame builder.
 """
 
 from __future__ import annotations
@@ -23,6 +27,31 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
         raise ValueError("seed must fit in 64 bits and frame_index be >= 0")
     key = np.array([seed, frame_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def frame_rngs(seed: int, start: int, count: int):
+    """Yield generators in the states of frame_rng(seed, start + i), i < count.
+
+    Every item is the same generator, reset to the next frame's key with
+    counter 0, so draw each frame's values before asking for the next.
+    """
+    rng = frame_rng(seed, start)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    key = state["state"]["key"]
+    for i in range(start, start + count):
+        key[1] = i
+        bitgen.state = state
+        yield rng
+
+
+def draw_noise(rng: np.random.Generator, channel: str, out: np.ndarray) -> None:
+    """Fill `out` with one frame's channel noise: standard normal for 'awgn',
+    uniform on [0, 1) for 'bec'."""
+    if channel == "awgn":
+        rng.standard_normal(out=out)
+    else:
+        rng.random(out=out)
 
 
 def noise_sigma2(ebno_db: float, rate: float) -> float:
@@ -51,19 +80,36 @@ def channel_llrs(x, channel: str, param: float, rate: float, rngs) -> np.ndarray
     probability param (erasure probability), else +-inf by the bit; `rate`
     is not used.
     """
-    check_channel(channel, param)
     x = np.asarray(x, dtype=np.uint8)
     noise = np.empty(x.shape)
     for rng, row in zip(rngs, noise, strict=True):
-        if channel == "awgn":
-            rng.standard_normal(out=row)
-        else:
-            rng.random(out=row)
+        draw_noise(rng, channel, row)
+    return noise_to_llrs(noise, x, channel, param, rate)
+
+
+def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
+                  rate: float) -> np.ndarray:
+    """Turn `noise` (from draw_noise) into the LLRs of codewords x, in place.
+
+    'awgn' computes 2 (sqrt(sigma^2) n + (1 - 2x)) / sigma^2 in that order,
+    one operation at a time over the buffer; 'bec' writes 0 where n < param,
+    else +-inf by the bit. Returns `noise`.
+    """
+    check_channel(channel, param)
     if channel == "awgn":
         sigma2 = noise_sigma2(param, rate)
-        y = (1.0 - 2.0 * x.astype(np.float64)) + np.sqrt(sigma2) * noise
-        return 2.0 * y / sigma2
-    return np.where(noise < param, 0.0, np.where(x == 0, np.inf, -np.inf))
+        noise *= np.sqrt(sigma2)
+        sign = np.multiply(x, -2, dtype=np.int8)
+        sign += 1
+        noise += sign  # 1 - 2x
+        noise *= 2.0
+        noise /= sigma2
+        return noise
+    erased = noise < param
+    noise[...] = np.inf
+    np.copyto(noise, -np.inf, where=np.not_equal(x, 0))
+    noise[erased] = 0.0
+    return noise
 
 
 def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -89,10 +135,20 @@ def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
     Zero maps to zero and quantized values are fixed points (round half to
     even at bin edges).
     """
-    if bits < 2:
-        raise ValueError("bits must be >= 2")
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    check_quantizer(bits, step)
     llr = np.asarray(llr, dtype=np.float64)
+    out = np.divide(llr, step, out=np.empty_like(llr))
     lim = float((1 << (bits - 1)) - 1)
-    return np.clip(np.rint(llr / step), -lim, lim) * step
+    np.rint(out, out=out)
+    np.clip(out, -lim, lim, out=out)
+    out *= step
+    return out[()]
+
+
+def check_quantizer(bits: int, step: float | None) -> None:
+    """Reject a quantizer of fewer than two bits or with a step that is not
+    > 0; a step of None stands for default_quantize_step, which is > 0."""
+    if bits < 2:
+        raise ValueError("quantizer bits must be >= 2")
+    if step is not None and not step > 0:
+        raise ValueError("quantizer step must be > 0")

@@ -31,7 +31,7 @@ from .patterns import (
     TWO_BIT_PATTERNS,
     extract_patterns,
 )
-from .sim import SweepSpec, points_to_csv, points_to_json, simulate_sweep
+from .sim import SweepSpec, check_run, points_to_csv, points_to_json, simulate_sweep
 
 _CATALOG = {2: TWO_BIT_PATTERNS, 4: FOUR_BIT_PATTERNS, 8: EIGHT_BIT_PATTERNS,
             16: SIXTEEN_BIT_PATTERNS}
@@ -174,6 +174,7 @@ def _cmd_simulate(args) -> int:
     spec = SweepSpec(channel=channel, points=points, max_frames=args.frames,
                      target_frame_errors=args.target_fe, seed=args.seed,
                      quantize_bits=args.quantize_bits, quantize_step=args.quantize_step)
+    check_run(args.frames, args.target_fe, args.batch_frames, args.workers)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
           f"L={cfg.L} q={cfg.q} theta={cfg.effective_theta} | "
           f"Eb/N0 with rate K/N incl CRC | seed={spec.seed}")

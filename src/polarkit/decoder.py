@@ -559,10 +559,14 @@ class _ListDecoder:
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.N:
             raise ValueError(f"LLRs must be a (frames, {self.code.N}) array")
-        if np.isnan(llrs).any():
+        lo, hi = llrs.min(initial=0.0), llrs.max(initial=0.0)
+        if np.isnan(lo):
             raise ValueError("LLRs must not be NaN")
         B = llrs.shape[0]
-        alpha = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)[:, None, :]
+        # the walk never writes alpha, so in-range input is walked without a copy
+        if not -BEC_LLR_CLAMP <= lo <= hi <= BEC_LLR_CLAMP:
+            llrs = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
+        alpha = llrs[:, None, :]
         self._rows = np.arange(B)[:, None]
         self._pm = np.zeros((B, 1))
         self._trace = pm_trace
@@ -597,7 +601,8 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
     (default min(L, 2^M)); from bit index theta on (mode4_1) each surviving
     path continues alone; with crc the best CRC-passing path wins. Returns
     (u, path_metrics, crc_ok): the (B, N) input estimates, the winners'
-    metrics, and a (B,) bool array of CRC passes (None without crc).
+    metrics, and a (B,) bool array of CRC passes (None without crc). llrs is
+    only read; LLRs beyond +-BEC_LLR_CLAMP are clamped in a copy.
     """
     return _ListDecoder(code, L, q, theta, schedule).decode(llrs, crc=crc, pm_trace=pm_trace)
 

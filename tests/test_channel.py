@@ -93,3 +93,12 @@ def test_channel_rows_use_their_own_streams(channel, param, rng):
         else:
             want = pk.bec_llr(x[i], param, frame_rng(7, 10 + i))
         assert np.array_equal(got[i], want)
+    # bit for bit the closed form, evaluated on whole arrays
+    noise = np.stack([frame_rng(7, 10 + i).standard_normal(64) if channel == "awgn"
+                      else frame_rng(7, 10 + i).random(64) for i in range(5)])
+    if channel == "awgn":
+        s2 = noise_sigma2(param, 0.5)
+        want = 2.0 * ((1.0 - 2.0 * x.astype(np.float64)) + np.sqrt(s2) * noise) / s2
+    else:
+        want = np.where(noise < param, 0.0, np.where(x == 0, np.inf, -np.inf))
+    assert got.tobytes() == want.tobytes()

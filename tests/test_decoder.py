@@ -455,6 +455,27 @@ def test_decode_rejects_nan_llrs(rng):
     llrs[1, 17] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         decode_frames(code, llrs, L=4)
+    llrs[0, 3], llrs[2, 60] = np.inf, -np.inf  # NaN among out-of-range LLRs
+    with pytest.raises(ValueError, match="NaN"):
+        decode_frames(code, llrs, L=4)
+
+
+@pytest.mark.parametrize("kind", ["in_range", "infinite"])
+def test_decode_never_writes_its_input(kind, rng):
+    code = pk.select_frozen(pk.bec_reliability(7, 0.5), 72, crc_width=32)
+    _, llrs = make_noisy_frames(code, 24, 2.0, rng, crc=CRC32)
+    if kind == "infinite":
+        llrs[rng.random(llrs.shape) < 0.2] = np.inf
+        llrs[rng.random(llrs.shape) < 0.2] = -np.inf
+    frozen = llrs.copy()
+    frozen.setflags(write=False)
+    for kw in (dict(L=1), dict(L=4, crc=CRC32), dict(L=4, schedule="bitwise"),
+               dict(L=4, theta=64, crc=CRC32), dict(L=8, q=4, crc=CRC32)):
+        got = decode_frames(code, frozen, **kw)
+        want = decode_frames(code, llrs.copy(), **kw)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), kw
+    assert frozen.tobytes() == llrs.tobytes()
 
 
 def test_tiny_codes_decode(rng):

@@ -7,9 +7,13 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polarkit as pk
+from polarkit.channel import channel_llrs, default_quantize_step, frame_rng, quantize_llr
 from polarkit.cli import main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
@@ -71,23 +75,29 @@ class _RecordingPool(ThreadPoolExecutor):
 @pytest.fixture
 def thread_pool(monkeypatch):
     """Runs simulate_point's pool on threads; yields the start frames of the
-    batches that ran, in order."""
+    chunks that ran, in order."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
-    started, lock, run = [], threading.Lock(), sim._run_batch
+    started, lock, run = [], threading.Lock(), sim._run_chunk
 
     def counting(*args):
         with lock:
             started.append(args[6])
         return run(*args)
 
-    monkeypatch.setattr(sim, "_run_batch", counting)
+    monkeypatch.setattr(sim, "_run_chunk", counting)
     return started
 
 
-def test_simulate_pool_sized_to_the_batches(small_code, thread_pool):
+def _chunk_batches(monkeypatch, batches, batch_frames, L=1, N=256):
+    """Sets the chunk budget to `batches` stop batches per decode call."""
+    monkeypatch.setattr(sim, "_CHUNK_LLRS", batches * L * N * batch_frames)
+
+
+def test_simulate_pool_sized_to_the_batches(small_code, thread_pool, monkeypatch):
     code, _ = small_code
     cfg = ModeConfig.mode1()
+    _chunk_batches(monkeypatch, 1, 64)
     # one batch runs in-process, two batches need two workers of eight
     simulate_point(code, cfg, "awgn", 2.0, max_frames=64, batch_frames=64, workers=8)
     assert _RecordingPool.sizes == [] and thread_pool == [0]
@@ -95,9 +105,32 @@ def test_simulate_pool_sized_to_the_batches(small_code, thread_pool):
     assert _RecordingPool.sizes == [2] and sorted(thread_pool[1:]) == [0, 64]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_simulate_speculation_bounded_by_workers(small_code, thread_pool, workers):
+def test_simulate_pool_sized_to_the_chunks(small_code, thread_pool, monkeypatch):
     code, _ = small_code
+    cfg = ModeConfig.mode1()
+    _chunk_batches(monkeypatch, 2, 64)
+    # two batches make one chunk, which runs in-process; three make two chunks
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=128, batch_frames=64, workers=8)
+    assert _RecordingPool.sizes == [] and thread_pool == [0]
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=192, batch_frames=64, workers=8)
+    assert _RecordingPool.sizes == [2] and sorted(thread_pool[1:]) == [0, 128]
+
+
+def test_simulate_default_chunks(small_code, thread_pool):
+    code, _ = small_code
+    # four 128-frame batches of this (256,128) code per call at L=1, one at L=4
+    simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, max_frames=1024, workers=2)
+    assert _RecordingPool.sizes == [2] and sorted(thread_pool) == [0, 512]
+    del thread_pool[:]
+    simulate_point(code, ModeConfig.mode4(), "awgn", 2.0, max_frames=256)
+    assert thread_pool == [0, 128]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_simulate_speculation_bounded_by_workers(small_code, thread_pool, workers,
+                                                 monkeypatch):
+    code, _ = small_code
+    _chunk_batches(monkeypatch, 1, 64)
     kw = dict(seed=3, target_fe=25, max_frames=3000, batch_frames=64)
     pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=workers, **kw)
     stop = pt.frames // 64 - 1
@@ -106,6 +139,70 @@ def test_simulate_speculation_bounded_by_workers(small_code, thread_pool, worker
     assert sorted(thread_pool) == [64 * i for i in range(len(thread_pool))]
     assert stop < len(thread_pool) <= stop + workers
     assert pt == simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=1, **kw)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("batches", [2, 3])
+def test_simulate_speculation_bounded_in_chunks(small_code, thread_pool, workers, batches,
+                                                monkeypatch):
+    code, _ = small_code
+    kw = dict(seed=3, target_fe=25, max_frames=3000, batch_frames=64)
+    _chunk_batches(monkeypatch, 1, 64)
+    want = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, **kw)
+    assert want.frames == 8 * 64  # batch 7 stops the point
+    del thread_pool[:]
+    _chunk_batches(monkeypatch, batches, 64)
+    pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=workers, **kw)
+    assert pt == want
+    # every chunk up to the one holding batch 7, whose later batches are
+    # discarded, and at most workers - 1 chunks beyond it
+    chunk = 64 * batches
+    stop = 7 // batches
+    assert sorted(thread_pool) == [chunk * i for i in range(len(thread_pool))]
+    assert stop < len(thread_pool) <= stop + workers
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=st.sampled_from([16, 48, 64]), max_frames=st.integers(1, 400),
+       target_fe=st.sampled_from([0, 1, 3, 10]), workers=st.integers(1, 3),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_simulate_tallies_independent_of_chunk_budget(small_code, thread_pool, monkeypatch,
+                                                      batch, max_frames, target_fe, workers,
+                                                      seed, data):
+    code, _ = small_code
+    # from one batch per chunk to every batch in one chunk
+    batches = data.draw(st.integers(1, -(-max_frames // batch)), label="batches per chunk")
+    kw = dict(seed=seed, target_fe=target_fe, max_frames=max_frames, batch_frames=batch)
+    _chunk_batches(monkeypatch, 1, batch)
+    want = simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, **kw)
+    _chunk_batches(monkeypatch, batches, batch)
+    assert simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, workers=workers, **kw) == want
+
+
+@pytest.mark.parametrize("channel,param,quant", [
+    ("awgn", 2.0, None), ("bec", 0.3, None), ("awgn", 1.0, (4, 0.5))])
+@pytest.mark.parametrize("with_crc", [False, True])
+@pytest.mark.parametrize("start,count", [(0, 37), (1000, 1), (77, 5)])
+def test_build_frames_matches_per_frame_streams(channel, param, quant, with_crc, start, count):
+    crc = CRC32 if with_crc else None
+    code = pk.select_frozen(pk.bec_reliability(7, 0.5), 64, crc_width=32 if with_crc else 0)
+    seed = 12
+    # reference: one generator per frame, payloads first, then channel_llrs
+    rngs = [frame_rng(seed, start + i) for i in range(count)]
+    payloads = np.stack([r.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
+                         for r in rngs])
+    infos = payloads if crc is None else pk.crc_append(payloads, crc)
+    u = np.zeros((count, code.N), dtype=np.uint8)
+    u[:, code.info_positions] = infos
+    llrs = channel_llrs(pk.polar_transform(u), channel, param, code.rate, rngs)
+    if quant is not None:
+        llrs = quantize_llr(llrs, *quant)
+    got_infos, got_llrs = sim._build_frames(code, crc, channel, param, seed, start, count,
+                                            quant)
+    assert np.array_equal(got_infos, infos)
+    assert got_llrs.dtype == llrs.dtype and got_llrs.shape == (count, code.N)
+    assert got_llrs.tobytes() == llrs.tobytes()
 
 
 def test_simulate_seed_changes_results(small_code):
@@ -159,13 +256,17 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     def no_batch(*args):
         raise AssertionError("a batch ran")
 
-    monkeypatch.setattr(sim, "_run_batch", no_batch)
+    monkeypatch.setattr(sim, "_run_chunk", no_batch)
     cfg = ModeConfig.mode1()
     for kw in (dict(batch_frames=-3), dict(batch_frames=0), dict(max_frames=0),
                dict(max_frames=-5), dict(workers=0), dict(workers=-3),
                dict(target_fe=-5)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, "awgn", 2.0, **kw)
+    for quantize in ((0, 0.5), (1, 0.5), (4, 0.0), (4, -0.5), (4, math.nan)):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="quantizer"):
+                simulate_point(code, cfg, "awgn", 2.0, quantize=quantize, workers=workers)
     for channel, param in (("bec", 1.5), ("bec", 0.0), ("fading", 1.0)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, channel, param)
@@ -260,11 +361,8 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    # options that simulate_point checks fail after the run header; none
-    # fails after a CSV row
-    out = captured.out.splitlines()
-    late = {"--batch-frames", "--workers", "--target-fe"} & set(extra)
-    assert out == [] or (late and len(out) == 1 and out[0].startswith("# code"))
+    # every bad option fails before the run header
+    assert captured.out.splitlines() == []
     assert not (tmp_path / "bad.csv").exists()
 
 
@@ -324,6 +422,13 @@ def test_quantize_default_step_saturation(small_code):
                      seed=3, quantize_bits=5)
     pts = simulate_sweep(code, ModeConfig.mode1(), spec, batch_frames=64)
     assert pts[0].frames == 128
+    # a step of None is the default step, through the API too
+    kw = dict(seed=3, target_fe=0, max_frames=128, batch_frames=64)
+    step = default_quantize_step(5, code.rate)
+    assert pts[0] == simulate_point(code, ModeConfig.mode1(), "awgn", 2.0,
+                                    quantize=(5, None), **kw)
+    assert pts[0] == simulate_point(code, ModeConfig.mode1(), "awgn", 2.0,
+                                    quantize=(5, step), **kw)
 
 
 def test_cli_simulate_mode4_1_and_overrides(tmp_path, small_code):
