@@ -80,6 +80,7 @@ def channel_llrs(x, channel: str, param: float, rate: float, rngs) -> np.ndarray
     probability param (erasure probability), else +-inf by the bit; `rate`
     is not used.
     """
+    check_channel(channel, param)
     x = np.asarray(x, dtype=np.uint8)
     noise = np.empty(x.shape)
     for rng, row in zip(rngs, noise, strict=True):
@@ -93,9 +94,8 @@ def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
 
     'awgn' computes 2 (sqrt(sigma^2) n + (1 - 2x)) / sigma^2 in that order,
     one operation at a time over the buffer; 'bec' writes 0 where n < param,
-    else +-inf by the bit. Returns `noise`.
+    else +-inf by the bit. Returns `noise`. The caller checks the channel.
     """
-    check_channel(channel, param)
     if channel == "awgn":
         sigma2 = noise_sigma2(param, rate)
         noise *= np.sqrt(sigma2)
@@ -137,12 +137,8 @@ def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
     """
     check_quantizer(bits, step)
     llr = np.asarray(llr, dtype=np.float64)
-    out = np.divide(llr, step, out=np.empty_like(llr))
     lim = float((1 << (bits - 1)) - 1)
-    np.rint(out, out=out)
-    np.clip(out, -lim, lim, out=out)
-    out *= step
-    return out[()]
+    return np.clip(np.rint(llr / step), -lim, lim) * step
 
 
 def check_quantizer(bits: int, step: float | None) -> None:

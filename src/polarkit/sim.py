@@ -7,12 +7,16 @@ batches in frame-index order, so tallies are byte-identical for any worker
 count. The batch size is part of the reproducibility contract.
 
 Frames are decoded in chunks of consecutive batches, one `decode_frames` call
-per chunk, with about `_CHUNK_LLRS` LLRs per call (L * N per frame); a chunk
+per chunk, with up to `_CHUNK_LLRS` LLRs per call (L * N per frame); a chunk
 builds its frames from one generator reset per frame (`channel.frame_rngs`).
-Tallies are still consumed one batch at a time, and when a batch stops the
-point the rest of its chunk is discarded. With several workers each worker
-decodes one chunk at a time; a stop also leaves at most workers - 1 later
-chunks decoded, whose tallies are discarded.
+Without early stop every chunk is full. With it the first chunk is one batch,
+and each later one holds the batches that the error rate so far predicts are
+left to the stop, less those in flight, so a point that stops early decodes
+about what one batch per call would. Tallies are still consumed one batch at
+a time, and when a batch stops the point the rest of its chunk is discarded.
+With several workers each worker decodes one chunk at a time; a stop also
+leaves at most workers - 1 later chunks decoded, whose tallies are discarded.
+Chunk sizes change how fast a point runs, never its tallies.
 
 SNR convention: Eb/N0 in dB with rate = K/N, K counting CRC bits.
 """
@@ -23,6 +27,7 @@ import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -179,9 +184,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
         check_quantizer(bits, step)
         quantize = (bits, default_quantize_step(bits, code.rate) if step is None else step)
     batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
-    chunk = batch * max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))
-    starts = range(0, max_frames, chunk)
-    workers = min(workers, len(starts))
+    full = max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))  # batches per full chunk
+    workers = min(workers, -(-max_frames // (full * batch)))
     frames = bit_errors = frame_errors = 0
 
     def consume(tallies):
@@ -195,27 +199,37 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
                 return True
         return False
 
-    def job(s):
-        return (code, crc, cfg, channel, param, seed, s, min(chunk, max_frames - s), batch,
-                quantize)
+    def jobs():
+        """_run_chunk arguments of each chunk, in frame order, each sized when
+        it is asked for from the tallies consumed by then."""
+        s = 0
+        while s < max_frames:
+            n = full
+            if target_fe > 0:
+                # frames to the stop at the error rate so far (one error if
+                # none yet), less those already in flight: one batch at first
+                left = ((target_fe - frame_errors) * frames // max(frame_errors, 1)
+                        - (s - frames))
+                n = min(full, max(1, -(-left // batch)))
+            count = min(n * batch, max_frames - s)
+            yield code, crc, cfg, channel, param, seed, s, count, batch, quantize
+            s += count
 
     if workers == 1:
-        for s in starts:
-            if consume(_run_chunk(*job(s))):
+        for job in jobs():
+            if consume(_run_chunk(*job)):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # one chunk per worker, consumed in frame-index order: each chunk
             # starts when submitted, and a stop leaves at most workers - 1
             # chunks running, whose tallies are discarded
-            inflight = deque(pool.submit(_run_chunk, *job(s)) for s in starts[:workers])
-            for s in starts[workers:]:
-                if consume(inflight.popleft().result()):
-                    break
-                inflight.append(pool.submit(_run_chunk, *job(s)))
-            else:
-                while inflight and not consume(inflight.popleft().result()):
-                    pass
+            pending = jobs()
+            inflight = deque(pool.submit(_run_chunk, *job) for job in islice(pending, workers))
+            while inflight and not consume(inflight.popleft().result()):
+                job = next(pending, None)
+                if job is not None:
+                    inflight.append(pool.submit(_run_chunk, *job))
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
     return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.effective_theta,

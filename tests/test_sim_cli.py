@@ -109,21 +109,60 @@ def test_simulate_pool_sized_to_the_chunks(small_code, thread_pool, monkeypatch)
     code, _ = small_code
     cfg = ModeConfig.mode1()
     _chunk_batches(monkeypatch, 2, 64)
-    # two batches make one chunk, which runs in-process; three make two chunks
-    simulate_point(code, cfg, "awgn", 2.0, max_frames=128, batch_frames=64, workers=8)
+    # without early stop every chunk is full: two batches make one chunk,
+    # which runs in-process; three make two chunks
+    kw = dict(target_fe=0, batch_frames=64, workers=8)
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=128, **kw)
     assert _RecordingPool.sizes == [] and thread_pool == [0]
-    simulate_point(code, cfg, "awgn", 2.0, max_frames=192, batch_frames=64, workers=8)
+    simulate_point(code, cfg, "awgn", 2.0, max_frames=192, **kw)
     assert _RecordingPool.sizes == [2] and sorted(thread_pool[1:]) == [0, 128]
 
 
 def test_simulate_default_chunks(small_code, thread_pool):
     code, _ = small_code
     # four 128-frame batches of this (256,128) code per call at L=1, one at L=4
-    simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, max_frames=1024, workers=2)
+    simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, target_fe=0, max_frames=1024,
+                   workers=2)
     assert _RecordingPool.sizes == [2] and sorted(thread_pool) == [0, 512]
     del thread_pool[:]
-    simulate_point(code, ModeConfig.mode4(), "awgn", 2.0, max_frames=256)
+    simulate_point(code, ModeConfig.mode4(), "awgn", 2.0, target_fe=0, max_frames=256)
     assert thread_pool == [0, 128]
+
+
+def _recording_chunks(monkeypatch):
+    """Records the (start, count) of each chunk that runs."""
+    chunks, lock, run = [], threading.Lock(), sim._run_chunk
+
+    def recording(*args):
+        with lock:
+            chunks.append((args[6], args[7]))
+        return run(*args)
+
+    monkeypatch.setattr(sim, "_run_chunk", recording)
+    return chunks
+
+
+def test_simulate_early_stop_chunks_follow_the_error_rate(small_code, thread_pool,
+                                                          monkeypatch):
+    code, _ = small_code
+    cfg = ModeConfig.mode1()
+    _chunk_batches(monkeypatch, 8, 64)
+    kw = dict(target_fe=100, max_frames=3000, batch_frames=64)
+    # every frame fails at -5 dB: the first batch predicts that one more
+    # batch reaches the stop, so no frame past it is decoded
+    pt = simulate_point(code, cfg, "awgn", -5.0, **kw)
+    assert pt.frame_errors == pt.frames == 128 and thread_pool == [0, 64]
+    del thread_pool[:]
+    # no errors at 6 dB: one batch, then full chunks up to the frame cap
+    pt = simulate_point(code, cfg, "awgn", 6.0, **kw)
+    assert pt.frame_errors == 0 and pt.frames == 3000
+    assert thread_pool == [0, 64, 576, 1088, 1600, 2112, 2624]
+    # on two workers the prediction counts the batch still in flight: after
+    # batch 0, 136 errors are 136 frames away, of which 64 are running
+    chunks = _recording_chunks(monkeypatch)
+    pt = simulate_point(code, cfg, "awgn", -5.0, workers=2, **dict(kw, target_fe=200))
+    assert pt.frames == 256
+    assert sorted(chunks) == [(0, 64), (64, 64), (128, 128), (256, 64)]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -150,16 +189,20 @@ def test_simulate_speculation_bounded_in_chunks(small_code, thread_pool, workers
     _chunk_batches(monkeypatch, 1, 64)
     want = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, **kw)
     assert want.frames == 8 * 64  # batch 7 stops the point
-    del thread_pool[:]
     _chunk_batches(monkeypatch, batches, 64)
+    chunks = _recording_chunks(monkeypatch)
     pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=workers, **kw)
     assert pt == want
+    chunks.sort()
+    # whole batches, at most `batches` of them, tiling the frames from 0 on;
+    # the first `workers` chunks start before any tally and hold one batch
+    assert [s for s, _ in chunks] == [sum(n for _, n in chunks[:i]) for i in range(len(chunks))]
+    assert all(n % 64 == 0 and n <= 64 * batches for _, n in chunks)
+    assert all(n == 64 for _, n in chunks[:workers])
     # every chunk up to the one holding batch 7, whose later batches are
     # discarded, and at most workers - 1 chunks beyond it
-    chunk = 64 * batches
-    stop = 7 // batches
-    assert sorted(thread_pool) == [chunk * i for i in range(len(thread_pool))]
-    assert stop < len(thread_pool) <= stop + workers
+    stop = next(i for i, (s, n) in enumerate(chunks) if s + n > 7 * 64)
+    assert stop < len(chunks) <= stop + workers
 
 
 @settings(max_examples=50, deadline=None,
