@@ -2,11 +2,12 @@
 
 Reproducibility contract: the draws of frame i under seed s depend only on
 (s, i). `frame_rng` defines that stream: a Philox generator keyed by (s, i)
-with counter 0. `frame_rngs` replays the same streams for a run of frames from
-one generator whose state it resets per frame, which skips the key setup of a
-new generator. Either way any partition of frames across workers replays
-identically. `noise_to_llrs` is the one channel model: it turns a noise buffer
-into LLRs in place, for `channel_llrs` and for the simulator's frame builder.
+with counter 0. `draw_frames` replays the same streams for a run of frames:
+each frame's payload bits, the top bit of each raw-stream byte, i.e. the bits
+`frame_rng(s, i).integers(0, 2, uint8)` draws, then its noise row. Either way
+any partition of frames across workers replays identically. `noise_to_llrs`
+is the one channel model: it turns a noise buffer into LLRs in place, for
+`channel_llrs` and for the simulator's frame builder.
 """
 
 from __future__ import annotations
@@ -29,20 +30,31 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def frame_rngs(seed: int, start: int, count: int):
-    """Yield generators in the states of frame_rng(seed, start + i), i < count.
+def draw_frames(seed: int, start: int, count: int, payload_bits: int, channel: str,
+                N: int):
+    """(payloads, noise) of frames [start, start+count): from each
+    frame_rng(seed, i), payload_bits bits, then one draw_noise row of N.
 
-    Every item is the same generator, reset to the next frame's key with
-    counter 0, so draw each frame's values before asking for the next.
+    One generator is reset to each frame's key with counter 0, which skips
+    the key setup of a new one. Payload bit j is the top bit of byte j of
+    ceil(payload_bits / 8) raw 64-bit words, bytes low first: the bits
+    that `integers(0, 2, payload_bits, np.uint8)` draws (one byte per bit,
+    never rejected for a range of two) from the same words, so the noise
+    row after them is the same too.
     """
     rng = frame_rng(seed, start)
     bitgen = rng.bit_generator
     state = bitgen.state
     key = state["state"]["key"]
-    for i in range(start, start + count):
+    words = -(-payload_bits // 8)
+    raw = np.empty((count, words), dtype="<u8")
+    noise = np.empty((count, N))
+    for i, raw_row, row in zip(range(start, start + count), raw, noise):
         key[1] = i
         bitgen.state = state
-        yield rng
+        raw_row[:] = bitgen.random_raw(words)
+        draw_noise(rng, channel, row)
+    return raw.view(np.uint8)[:, :payload_bits] >> 7, noise
 
 
 def draw_noise(rng: np.random.Generator, channel: str, out: np.ndarray) -> None:

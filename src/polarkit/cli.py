@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -131,14 +132,33 @@ def _cmd_cost(args) -> int:
     return 0
 
 
+# Most points a 'start:step:stop' grid may have; checked before any is built.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_points(text: str) -> tuple:
-    if ":" in text:
-        a, s, b = (float(v) for v in text.split(":"))
-        if s == 0:
-            raise ValueError(f"grid step must be nonzero in {text!r}")
-        n = int(round((b - a) / s)) + 1
-        return tuple(a + i * s for i in range(n))
-    return tuple(float(v) for v in text.split(","))
+    """Points of a 'start:step:stop' grid (stop included when a step lands
+    on it) or of a comma list; every value must be a finite number."""
+    parts = text.split(":") if ":" in text else text.split(",")
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        raise ValueError(f"{text!r} is not 'start:step:stop' or a comma list of numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {text!r} has a non-finite value")
+    if ":" not in text:
+        return tuple(values)
+    if len(values) != 3:
+        raise ValueError(f"grid {text!r} is not 'start:step:stop'")
+    a, s, b = values
+    if s == 0:
+        raise ValueError(f"grid step must be nonzero in {text!r}")
+    steps = (b - a) / s  # infinite where b - a overflows
+    if steps < -0.5:
+        raise ValueError(f"grid {text!r} has no point: its step leads away from its stop")
+    if not steps < _MAX_GRID_POINTS - 0.5:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    return tuple(a + i * s for i in range(round(steps) + 1))
 
 
 def _cmd_simulate(args) -> int:

@@ -25,8 +25,9 @@ it still holds (the node's LLRs after the left child, the left child's
 partial sums after the right child) by those indices. The walk carries no
 input bits: the transform is its own inverse, so u is the transform of the
 root's partial sums. Where paths decode alone (list size one, or past the
-mode4_1 switching point) each select takes every path's own best candidate
-and keeps the path in its place, so no path moves and nothing is gathered.
+mode4_1 switching point) a lean walk takes every path's own best candidate:
+no path moves, so it returns partial sums only, and a rate-1 leaf is its
+hard decision.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -339,15 +340,18 @@ def rate0_penalty(alpha):
     return _relu(-a).sum(axis=-1)
 
 
+def _rep_penalties(a):
+    """Penalties (all-zero, all-one) of a repetition leaf's LLRs."""
+    if a.shape[-1] == 1:
+        # one bit: summing a size-1 axis would cost more than the whole leaf
+        return _relu(-a)[..., 0], _relu(a)[..., 0]
+    return _relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)
+
+
 def repetition_candidates(alpha):
     """(penalties, symbols) for the all-zero / all-one hypotheses."""
     a = np.asarray(alpha, dtype=np.float64)
-    if a.shape[-1] == 1:
-        # one bit: summing a size-1 axis would cost more than the whole leaf
-        pens = np.concatenate([_relu(-a), _relu(a)], axis=-1)
-    else:
-        pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
-    return pens, np.array([0, 1], dtype=np.int64)
+    return np.stack(_rep_penalties(a), axis=-1), np.array([0, 1], dtype=np.int64)
 
 
 def rate1_candidates(alpha):
@@ -437,15 +441,26 @@ def _build_tree(mask_bytes: bytes, schedule: str):
 # Batched list engine
 
 
+def _combine(c_left, c_right):
+    """Partial sums of a branch from those of its children (path axes of
+    length one broadcast)."""
+    B, A, h = c_left.shape[0], max(c_left.shape[1], c_right.shape[1]), c_right.shape[2]
+    c = np.empty((B, A, 2 * h), dtype=np.uint8)
+    c[..., 0::2] = c_left ^ c_right
+    c[..., 1::2] = c_right
+    return c
+
+
 class _ListDecoder:
     """Decodes a batch of frames, each with list size L, sharing one schedule.
 
     The path order lives in one place: the (c, parents) that `_walk`
     returns for every subtree; `_pick_winner` derives u at the root. Every
-    prune or per-path pick goes through `_select`; only rate-0 leaves change
-    the path metrics elsewhere. Between decode() entry and exit the instance
-    holds the path metrics of the current list, so one instance must not run
-    concurrent decodes; decode_frames builds a fresh instance per call.
+    list prune goes through `_select` and every pick of a path that decodes
+    alone through `_pick`; only rate-0 leaves change the path metrics
+    elsewhere. Between decode() entry and exit the instance holds the path
+    metrics of the current list, so one instance must not run concurrent
+    decodes; decode_frames builds a fresh instance per call.
     """
 
     def __init__(self, code: PolarCode, L: int, q: int | None, theta: int | None,
@@ -469,55 +484,78 @@ class _ListDecoder:
         per-path continuation after the mode switching point."""
         return self.L == 1 or node.start >= self.theta
 
-    def _select(self, pens, syms, node: _Leaf):
-        """Prune (or per-path pick) candidates; returns (symbols, parent),
-        parent[b, j] being the path that survivor j descends from, or None
-        where every path keeps its place."""
+    def _select(self, pens, syms):
+        """List prune to the L first (pm + penalty) candidates over all
+        paths; returns (symbols, parent), parent[b, j] being the path that
+        survivor j descends from."""
         B, A = self._pm.shape
         if pens.shape[1] != A:  # candidates of a path-invariant leaf input
             pens = np.broadcast_to(pens, (B, A, pens.shape[-1]))
         syms = np.broadcast_to(syms, pens.shape)
-        if self._alone(node):
-            # Before theta (so at L=1) this is the list prune of one path,
-            # keyed by pm + penalty, where a penalty lost to rounding ties
-            key = pens if node.start >= self.theta else self._pm[:, :, None] + pens
-            pick = (self._rows, np.arange(A), key.argmin(axis=2))
-            new_pm = self._pm + pens[pick]
-            sym_sel = syms[pick]
-            parent = None
-        else:
-            parent, sym_sel, new_pm = _top_l(self._pm, pens, syms, self.L)
-        self._pm = new_pm
+        parent, sym_sel, self._pm = _top_l(self._pm, pens, syms, self.L)
         return sym_sel, parent
+
+    def _pick(self, node: _Leaf, alpha):
+        """Each path's own best candidate at a non-frozen leaf where paths
+        decode alone; returns the leaf's partial sums. Before theta (so at
+        L=1) this is the list prune of one path, keyed by pm + penalty, where
+        a penalty lost to rounding ties; past it the key is the penalty. Ties
+        go to the first candidate."""
+        past = node.start >= self.theta
+        if node.kind is NodeKind.RATE1:
+            # the hard decision has penalty +0.0 and comes first: it always wins
+            return (alpha < 0).view(np.uint8)
+        if node.kind is NodeKind.REPETITION:
+            p0, p1 = _rep_penalties(alpha)
+            one = p1 < p0 if past else self._pm + p1 < self._pm + p0
+            self._pm = self._pm + np.where(one, p1, p0)
+            return node.codewords[one.view(np.uint8)]
+        t1, t2 = leaf_metrics_rcc(alpha)
+        pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
+        best = (pens if past else self._pm[..., None] + pens).argmin(axis=-1)[..., None]
+        self._pm = self._pm + np.take_along_axis(pens, best, -1)[..., 0]
+        return node.codewords[np.take_along_axis(syms, best, -1)[..., 0]]
 
     # -- tree walk -------------------------------------------------------------
 
-    def _leaf(self, node: _Leaf, alpha):
-        kind = node.kind
-        if kind is NodeKind.RATE0:
-            self._pm = self._pm + rate0_penalty(alpha)
-            return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
-        if kind is NodeKind.REPETITION:
-            pens, syms = repetition_candidates(alpha)
-        elif kind is NodeKind.RATE1:
-            pens, syms = rate1_candidates(alpha)
-        else:
-            t1, t2 = leaf_metrics_rcc(alpha)
-            pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
-        sym, parent = self._select(pens, syms, node)
-        return node.codewords[sym], parent
+    def _rate0(self, node: _Leaf, alpha):
+        self._pm = self._pm + rate0_penalty(alpha)
+        return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8)
+
+    def _walk_alone(self, node, alpha):
+        """`_walk` of a subtree where every path decodes alone: no path
+        moves, so it returns only c. Leaves with a bit-serial fallback take
+        it, which makes the output exactly classic SC."""
+        if isinstance(node, _Branch):
+            even, odd = alpha[..., 0::2], alpha[..., 1::2]
+            c_left = self._walk_alone(node.left, f_llr(even, odd))
+            return _combine(c_left, self._walk_alone(node.right, g_llr(even, odd, c_left)))
+        if node.fallback is not None:
+            return self._walk_alone(node.fallback, alpha)
+        if node.kind is NodeKind.RATE0:
+            return self._rate0(node, alpha)
+        return self._pick(node, alpha)
 
     def _walk(self, node, alpha):
         """Decode the subtree under `node` from its LLRs `alpha`, given in
         the path order at entry. Returns (c, parents): the partial sums of
         the surviving paths, and for each survivor the entry path it
-        descends from (None where no select moved a path). A path axis of
+        descends from (None where no prune moved a path). A path axis of
         length one holds one value for every path; it broadcasts."""
+        if self._alone(node):
+            return self._walk_alone(node, alpha), None
         if isinstance(node, _Leaf):
-            if node.fallback is not None and self._alone(node):
-                # classic SC semantics where paths decode alone
-                return self._walk(node.fallback, alpha)
-            return self._leaf(node, alpha)
+            if node.kind is NodeKind.RATE0:
+                return self._rate0(node, alpha), None
+            if node.kind is NodeKind.REPETITION:
+                pens, syms = repetition_candidates(alpha)
+            elif node.kind is NodeKind.RATE1:
+                pens, syms = rate1_candidates(alpha)
+            else:
+                t1, t2 = leaf_metrics_rcc(alpha)
+                pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
+            sym, parent = self._select(pens, syms)
+            return node.codewords[sym], parent
         rows = self._rows
         c_left, p_left = self._walk(node.left, f_llr(alpha[..., 0::2], alpha[..., 1::2]))
         if p_left is not None and alpha.shape[1] != 1:
@@ -528,11 +566,7 @@ class _ListDecoder:
             if c_left.shape[1] != 1:
                 c_left = c_left[rows, p_right]
             parents = p_right if p_left is None else p_left[rows, p_right]
-        c = np.empty((alpha.shape[0], max(c_left.shape[1], c_right.shape[1]), node.span),
-                     dtype=np.uint8)
-        c[..., 0::2] = c_left ^ c_right
-        c[..., 1::2] = c_right
-        return c, parents
+        return _combine(c_left, c_right), parents
 
     # -- public ----------------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """Seeded Monte Carlo frame-error simulation.
 
 Frame i's payload and noise depend only on (seed, i): they are the draws of
-`channel.frame_rng(seed, i)`, payload first. The early-stop rule (cumulative
-frame errors >= target) is evaluated at the boundaries of fixed-size stop
-batches in frame-index order, so tallies are byte-identical for any worker
-count. The batch size is part of the reproducibility contract.
+`channel.frame_rng(seed, i)`, payload first; the payload bits are the top bit
+of each raw-stream byte, i.e. the bits `frame_rng(seed, i).integers(0, 2,
+uint8)` draws. The early-stop rule (cumulative frame errors >= target) is
+evaluated at the boundaries of fixed-size stop batches in frame-index order,
+so tallies are byte-identical for any worker count. The batch size is part of
+the reproducibility contract.
 
 Frames are decoded in chunks of consecutive batches, one `decode_frames` call
 per chunk, with up to `_CHUNK_LLRS` LLRs per call (L * N per frame); a chunk
-builds its frames from one generator reset per frame (`channel.frame_rngs`).
+draws its frames from one generator reset per frame (`channel.draw_frames`).
 Without early stop every chunk is full. With it the first chunk is one batch,
 and each later one holds the batches that the error rate so far predicts are
 left to the stop, less those in flight, so a point that stops early decodes
@@ -35,8 +37,7 @@ from .channel import (
     check_channel,
     check_quantizer,
     default_quantize_step,
-    draw_noise,
-    frame_rngs,
+    draw_frames,
     noise_to_llrs,
     quantize_llr,
 )
@@ -128,11 +129,7 @@ def _build_frames(code: PolarCode, crc: CrcSpec | None, channel: str, param: flo
     Frame i draws its payload bits, then its noise row, from its own counter
     stream, so it is independent of batch and chunk boundaries.
     """
-    payloads = np.empty((count, code.payload_bits), dtype=np.uint8)
-    noise = np.empty((count, code.N))
-    for rng, payload, row in zip(frame_rngs(seed, start, count), payloads, noise):
-        payload[:] = rng.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
-        draw_noise(rng, channel, row)
+    payloads, noise = draw_frames(seed, start, count, code.payload_bits, channel, code.N)
     infos = payloads if crc is None else crc_append(payloads, crc)
     u = np.zeros((count, code.N), dtype=np.uint8)
     u[:, code.info_positions] = infos

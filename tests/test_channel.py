@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.channel import channel_llrs, frame_rng, noise_sigma2, quantize_llr
+from polarkit.channel import channel_llrs, draw_frames, frame_rng, noise_sigma2, quantize_llr
 
 
 def test_awgn_noiseless_limit_signs(rng):
@@ -102,3 +102,23 @@ def test_channel_rows_use_their_own_streams(channel, param, rng):
     else:
         want = np.where(noise < param, 0.0, np.where(x == 0, np.inf, -np.inf))
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**63),
+       st.integers(1, 2100) | st.sampled_from([32, 62, 128, 512, 1401]),
+       st.integers(1, 3), st.sampled_from(["awgn", "bec"]))
+def test_draw_frames_replays_integers_then_noise(seed, start, P, count, channel):
+    # draw_frames reads the payload bits off raw words; they must be the
+    # bits integers() draws, from the same words, so a numpy release that
+    # changes its bounded uint8 draw fails here (P % 8 != 0 and odd uint32
+    # counts included; 1401 is the payload of (2048, 1433) with CRC-32)
+    N = 24
+    payloads, noise = draw_frames(seed, start, count, P, channel, N)
+    assert payloads.dtype == np.uint8 and payloads.shape == (count, P)
+    assert noise.shape == (count, N)
+    for i in range(count):
+        rng = frame_rng(seed, start + i)
+        assert np.array_equal(payloads[i], rng.integers(0, 2, P, dtype=np.uint8))
+        want = rng.standard_normal(N) if channel == "awgn" else rng.random(N)
+        assert noise[i].tobytes() == want.tobytes()

@@ -261,21 +261,28 @@ def test_schedules_agree_with_bitwise_at_q_ge_L(rng):
 
 @contextmanager
 def _select_log():
-    """Log (old pm, kept parents, new pm) of every select the decoder makes
-    while the context is open; kept parents are arange(A) where every path
-    keeps its place."""
+    """Log (old pm, kept parents, new pm) of every list prune (`_select`)
+    and every pick of a path that decodes alone (`_pick`) while the context
+    is open, in decode order; a pick keeps every path in its place, so its
+    kept parents are arange(A)."""
     log = []
-    select = _ListDecoder._select
+    select, pick = _ListDecoder._select, _ListDecoder._pick
 
-    def spy(self, pens, syms, node):
+    def select_spy(self, pens, syms):
         old = self._pm.copy()
-        sym, parent = select(self, pens, syms, node)
-        kept = np.broadcast_to(np.arange(old.shape[1]), old.shape) if parent is None else parent
-        log.append((old, kept, self._pm.copy()))
+        sym, parent = select(self, pens, syms)
+        log.append((old, parent, self._pm.copy()))
         return sym, parent
 
+    def pick_spy(self, node, alpha):
+        old = self._pm.copy()
+        c = pick(self, node, alpha)
+        log.append((old, np.broadcast_to(np.arange(old.shape[1]), old.shape), self._pm.copy()))
+        return c
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ListDecoder, "_select", spy)
+        mp.setattr(_ListDecoder, "_select", select_spy)
+        mp.setattr(_ListDecoder, "_pick", pick_spy)
         yield log
 
 
@@ -318,16 +325,16 @@ def test_mode4_1_theta_zero_is_single_path_sc(rng):
     assert np.array_equal(a, plain_sc(code, llrs))
 
 
-def _selects_from(node, theta):
-    """Selects a decode makes at schedule leaves starting at or after theta
+def _picks_from(node, theta):
+    """Picks a decode makes at schedule leaves starting at or after theta
     (there every path continues alone, bit-serially where a leaf has a
     bit-serial fallback)."""
     if isinstance(node, _Branch):
-        return _selects_from(node.left, theta) + _selects_from(node.right, theta)
+        return _picks_from(node.left, theta) + _picks_from(node.right, theta)
     if node.start < theta:
         return 0
     if node.fallback is not None:
-        return _selects_from(node.fallback, theta)
+        return _picks_from(node.fallback, theta)
     return int(node.kind is not NodeKind.RATE0)
 
 
@@ -336,7 +343,7 @@ def _selects_from(node, theta):
        st.sampled_from((2, 4)), st.sampled_from(("fast", "dnc")))
 def test_decode_batch_independence(seed, n, with_crc, quarters, L, schedule):
     # each row of a batch decodes as if it were alone, for mode4_1 at any theta;
-    # past theta every select keeps each path in its place
+    # past theta every pick keeps each path in its place
     code, rng = _hypothesis_code(seed, n, (1 << n) - 1, True)
     crc = _CRC4 if with_crc and code.K > _CRC4.width else None
     theta = quarters * code.N // 4
@@ -348,11 +355,37 @@ def test_decode_batch_independence(seed, n, with_crc, quarters, L, schedule):
         ui, pmi, oki = decode_frames(code, llrs[i : i + 1], **kw)
         assert np.array_equal(u[i], ui[0]) and pm[i] == pmi[0]
         assert (ok is None and oki is None) or ok[i] == oki[0]
-    after = _selects_from(_build_tree(code.frozen_mask.tobytes(), schedule), theta)
+    after = _picks_from(_build_tree(code.frozen_mask.tobytes(), schedule), theta)
     assert after <= len(log)
     for old, parent, new in log[len(log) - after :]:
         assert np.array_equal(parent, np.broadcast_to(np.arange(old.shape[1]), old.shape))
         assert np.all(new >= old)
+
+
+@pytest.mark.parametrize("kw", [dict(L=1), dict(L=4, theta=0), dict(L=4, theta=64),
+                                dict(L=2, theta=96)])
+def test_alone_rate1_leaf_is_the_hard_decision(kw, rng):
+    # where paths decode alone a rate-1 leaf is the hard decision alpha < 0
+    # (candidate 0, penalty +0.0), and the path metrics stay as they are
+    code = pk.select_frozen(pk.bec_reliability(7, 0.4), 100)
+    _, llrs = make_noisy_frames(code, 16, 1.0, rng)
+    llrs[rng.random(llrs.shape) < 0.2] = 0.0  # zero LLRs decide 0
+    log, pick = [], _ListDecoder._pick
+
+    def spy(self, node, alpha):
+        old = self._pm.copy()
+        c = pick(self, node, alpha)
+        if node.kind is NodeKind.RATE1:
+            log.append((alpha.copy(), c, old, self._pm))
+        return c
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ListDecoder, "_pick", spy)
+        decode_frames(code, llrs, **kw)
+    assert log, "the code has rate-1 leaves past theta"
+    for alpha, c, old, new in log:
+        assert c.dtype == np.uint8 and np.array_equal(c, alpha < 0)
+        assert new.tobytes() == old.tobytes()
 
 
 def _sign_f(a, b):

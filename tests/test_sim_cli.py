@@ -386,6 +386,14 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [
     ["--snr", "1:0:2"],
+    ["--snr", "1:2"],
+    ["--snr", "1:2:3:4"],
+    ["--snr", "a:1:2"],
+    ["--snr", "1,,2"],
+    ["--snr", "0:nan:1"],
+    ["--snr", "0:1:inf"],
+    ["--snr", "2:1:1"],
+    ["--snr", "0:1:10000"],
     ["--snr", "2.0", "--L", "0"],
     ["--snr", "2.0", "--batch-frames", "-3"],
     ["--snr", "2.0", "--batch-frames", "0"],
@@ -415,6 +423,34 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     # every bad option fails before the run header
     assert captured.out.splitlines() == []
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("1:2", "grid '1:2' is not 'start:step:stop'"),
+    ("2:1:1", "grid '2:1:1' has no point: its step leads away from its stop"),
+    ("0:1e-12:1", "grid '0:1e-12:1' has more than 10000 points"),
+    ("-1e308:1e-308:1e308", "grid '-1e308:1e-308:1e308' has more than 10000 points"),
+])
+def test_cli_simulate_bad_grid_fails_fast(grid, message, tmp_path, small_code):
+    # in a subprocess under a time and address-space limit, so a parser that
+    # builds a huge grid before checking it fails the test instead of
+    # exhausting memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    _, codefile = small_code
+    src = str(Path(pk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarkit.cli", "simulate", "--code", str(codefile),
+         "--mode", "mode1", "--frames", "64", "--out", str(tmp_path / "g"), f"--snr={grid}"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [f"error: {message}"]
+    assert proc.stdout == "" and not (tmp_path / "g.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["mode4", "mode2", "mode1"])
