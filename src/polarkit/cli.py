@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,10 +33,13 @@ from .patterns import (
     TWO_BIT_PATTERNS,
     extract_patterns,
 )
-from .sim import SweepSpec, check_run, points_to_csv, points_to_json, simulate_sweep
+from .sim import check_run, points_to_csv, points_to_json, simulate_sweep
 
 _CATALOG = {2: TWO_BIT_PATTERNS, 4: FOUR_BIT_PATTERNS, 8: EIGHT_BIT_PATTERNS,
             16: SIXTEEN_BIT_PATTERNS}
+
+# Most points a 'start:step:stop' grid may have; checked before any is built.
+_MAX_GRID_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,11 +95,13 @@ def _cmd_verify_prop1(args) -> int:
     step = Fraction(args.eps_step)
     if step <= 0:
         raise ValueError("--eps-step must be positive")
-    grid = []
-    e = start
-    while e <= stop:
-        grid.append(e)
-        e += step
+    count = (stop - start) // step + 1  # exact, from the Fractions
+    text = f"{args.eps_start}:{args.eps_step}:{args.eps_stop}"
+    if count < 1:
+        raise ValueError(f"eps grid {text!r} has no point: its stop lies below its start")
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"eps grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    grid = [start + i * step for i in range(count)]
     rep = verify_reliability_ordering(grid, depth=args.depth)
     doc = {
         "grid": [str(e) for e in (start, stop, step)],
@@ -123,17 +129,8 @@ def _cmd_cost(args) -> int:
     rep = count_ops(args.method, args.m, args.q)
     print(rep.describe())
     if args.json:
-        doc = {"method": rep.method, "M": rep.M, "q": rep.q,
-               "multiplications": rep.multiplications,
-               "step0_multiplications": rep.step0_multiplications,
-               "step2_multiplications": rep.step2_multiplications,
-               "sorts": [list(s) for s in rep.sorts]}
-        Path(args.json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(args.json).write_text(json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n")
     return 0
-
-
-# Most points a 'start:step:stop' grid may have; checked before any is built.
-_MAX_GRID_POINTS = 10_000
 
 
 def _parse_points(text: str) -> tuple:
@@ -191,16 +188,18 @@ def _cmd_simulate(args) -> int:
                                 theta=cfg.theta, **kw)
         cfg.mode = args.mode  # echo the requested label in reports
 
-    spec = SweepSpec(channel=channel, points=points, max_frames=args.frames,
-                     target_frame_errors=args.target_fe, seed=args.seed,
-                     quantize_bits=args.quantize_bits, quantize_step=args.quantize_step)
-    check_run(code, cfg, args.frames, args.target_fe, args.batch_frames, args.workers, args.seed)
+    if args.quantize_step is not None and args.quantize_bits is None:
+        raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
+    run = dict(crc=crc, seed=args.seed, target_fe=args.target_fe, max_frames=args.frames,
+               batch_frames=args.batch_frames, workers=args.workers,
+               quantize=None if args.quantize_bits is None
+               else (args.quantize_bits, args.quantize_step))
+    check_run(code, cfg, channel, points, **run)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
           f"L={cfg.L} q={cfg.q} theta={cfg.effective_theta} | "
-          f"Eb/N0 with rate K/N incl CRC | seed={spec.seed}")
-    rows = simulate_sweep(code, cfg, spec, crc=crc, batch_frames=args.batch_frames,
-                          workers=args.workers,
-                          progress=lambda p: print(p.csv_row(), flush=True))
+          f"Eb/N0 with rate K/N incl CRC | seed={args.seed}")
+    rows = simulate_sweep(code, cfg, channel, points,
+                          progress=lambda p: print(p.csv_row(), flush=True), **run)
     Path(args.out + ".csv").write_text(points_to_csv(rows))
     Path(args.out + ".json").write_text(points_to_json(rows, meta={
         "code": str(args.code), "N": code.N, "K": code.K, "crc_width": code.crc_width,

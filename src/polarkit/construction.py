@@ -150,10 +150,10 @@ def bec_reliability(n: int, eps: float) -> ReliabilityTable:
 
 def ga_reliability(n: int, z0: float) -> ReliabilityTable:
     """Mean-LLR recursion from the design-point channel LLR mean z0 > 0."""
-    if z0 <= 0:
-        raise ValueError("z0 must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (z0 > 0 and np.isfinite(z0 * 2.0**n)):  # the best channel's mean is z0 * 2**n
+        raise ValueError(f"z0 must be a finite number > 0 whose z0 * 2**n is finite, got {z0}")
     levels = [np.array([float(z0)])]
     for _ in range(n):
         z = levels[-1]
@@ -182,7 +182,13 @@ def design_mean_llr(design_snr_db: float) -> float:
     Rate-independent: z0 = 4 * 10^(snr/10). Design SNR and the simulation
     x-axis (Eb/N0) are different quantities; reports state both conventions.
     """
-    return 4.0 * 10.0 ** (design_snr_db / 10.0)
+    try:
+        z0 = 4.0 * 10.0 ** (design_snr_db / 10.0)
+    except OverflowError:
+        z0 = np.inf
+    if not 0.0 < z0 < np.inf:  # NaN fails too
+        raise ValueError(f"design SNR {design_snr_db} dB gives no finite LLR mean > 0")
+    return z0
 
 
 def select_frozen(table: ReliabilityTable, K: int, *, design_param: float | None = None,
@@ -341,11 +347,25 @@ def save_code_file(code: PolarCode, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# JSON types of a code file's fields; the last three may be missing.
+_CODE_FIELDS = {"n": int, "N": int, "K": int, "frozen_mask": str, "crc_width": int,
+                "channel": (str, type(None)), "design_param": (int, float, type(None))}
+
+
 def load_code_file(path) -> PolarCode:
+    """Read a code file written by save_code_file; a file of another shape
+    raises ValueError naming the first field at fault."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"code file {path} does not hold a JSON object")
+    doc = {"crc_width": 0, "channel": None, "design_param": None, **doc}
+    for name, types in _CODE_FIELDS.items():
+        if name not in doc:
+            raise ValueError(f"code file {path} has no field {name!r}")
+        if isinstance(doc[name], bool) or not isinstance(doc[name], types):
+            raise ValueError(f"code file {path}: field {name!r} has the wrong type: {doc[name]!r}")
     mask = _mask_from_hex(doc["frozen_mask"], doc["N"])
     meta = None
-    if doc.get("channel") not in (None, "unknown"):
+    if doc["channel"] not in (None, "unknown"):
         meta = Construction(doc["channel"], doc["design_param"])
-    return PolarCode(doc["n"], doc["K"], mask, construction=meta,
-                     crc_width=doc.get("crc_width", 0))
+    return PolarCode(doc["n"], doc["K"], mask, construction=meta, crc_width=doc["crc_width"])

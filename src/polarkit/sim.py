@@ -1,5 +1,10 @@
 """Seeded Monte Carlo frame-error simulation.
 
+`simulate_point` tallies one channel point and `simulate_sweep` a sequence of
+them, with the same keywords (crc, seed, target_fe, max_frames, batch_frames,
+workers, quantize); `check_run` is their one check, made before any frame of
+the point or sweep decodes.
+
 Frame i's payload and noise depend only on (seed, i): they are the draws of
 `channel.frame_rng(seed, i)`, payload first; the payload bits are the top bit
 of each raw-stream byte, i.e. the bits `frame_rng(seed, i).integers(0, 2,
@@ -29,6 +34,7 @@ import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -45,6 +51,7 @@ from .core import CrcSpec, PolarCode, crc_append, polar_transform
 from .decoder import ModeConfig, decode_frames
 
 CSV_HEADER = "snr_db,eps,mode,L,q,theta,frames,bit_errors,frame_errors,ber,fer,seed"
+_FLOAT_COLUMNS = {"snr_db", "eps", "ber", "fer"}  # written as repr(float)
 
 # LLRs (L * N per frame) per decode_frames call: several stop batches of a
 # small code share one call, whose overhead bounds them, while the working
@@ -55,30 +62,6 @@ _CHUNK_LLRS = 1 << 17
 def default_batch_frames(N: int) -> int:
     """Default frames per batch, sized so working arrays stay modest."""
     return max(16, min(128, (1 << 21) // N))
-
-
-@dataclass
-class SweepSpec:
-    """One sweep: channel parameter points plus stopping rules."""
-
-    channel: str  # 'awgn' | 'bec'
-    points: tuple  # Eb/N0 dB values, or erasure probabilities
-    max_frames: int = 100_000
-    target_frame_errors: int = 100
-    seed: int = 1
-    quantize_bits: int | None = None
-    quantize_step: float | None = None
-
-    def __post_init__(self):
-        if self.quantize_bits is None:
-            if self.quantize_step is not None:
-                raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
-        else:
-            check_quantizer(self.quantize_bits, self.quantize_step)
-        if not self.points:
-            raise ValueError("sweep needs at least one point")
-        for p in self.points:
-            check_channel(self.channel, p)
 
 
 @dataclass
@@ -105,21 +88,12 @@ class SimPoint:
     def fer(self) -> float:
         return self.frame_errors / self.frames if self.frames else float("nan")
 
-    def csv_row(self) -> str:
-        sn = "" if self.snr_db is None else repr(float(self.snr_db))
-        ep = "" if self.eps is None else repr(float(self.eps))
-        th = "" if self.theta is None else str(self.theta)
-        return (f"{sn},{ep},{self.mode},{self.L},{self.q},{th},{self.frames},"
-                f"{self.bit_errors},{self.frame_errors},{repr(self.ber)},"
-                f"{repr(self.fer)},{self.seed}")
-
     def as_dict(self) -> dict:
-        return {
-            "snr_db": self.snr_db, "eps": self.eps, "mode": self.mode, "L": self.L,
-            "q": self.q, "theta": self.theta, "frames": self.frames,
-            "bit_errors": self.bit_errors, "frame_errors": self.frame_errors,
-            "ber": self.ber, "fer": self.fer, "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in CSV_HEADER.split(",")}
+
+    def csv_row(self) -> str:
+        return ",".join("" if v is None else repr(float(v)) if k in _FLOAT_COLUMNS else str(v)
+                        for k, v in self.as_dict().items())
 
 
 def _build_frames(code: PolarCode, crc: CrcSpec | None, channel: str, param: float,
@@ -139,7 +113,7 @@ def _build_frames(code: PolarCode, crc: CrcSpec | None, channel: str, param: flo
     return infos, llrs
 
 
-def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, start, count, batch, quant):
+def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, batch, quant, start, count):
     """Decode frames [start, start+count) in one call; returns the
     (frames, bit_errors, frame_errors) of each stop batch, in frame order."""
     infos, llrs = _build_frames(code, crc, channel, param, seed, start, count, quant)
@@ -150,11 +124,18 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, start, count, b
             for b in (bad[i:i + batch] for i in range(0, count, batch))]
 
 
-def check_run(code: PolarCode, cfg: ModeConfig, max_frames: int, target_fe: int,
-              batch_frames: int | None, workers: int, seed: int) -> None:
-    """Reject a switching point, frame cap, stop target, batch size, worker
-    count or seed that no run of `cfg` on `code` can use (batch_frames None
-    stands for default_batch_frames)."""
+def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
+              crc: CrcSpec | None = None, seed: int = 1, target_fe: int = 100,
+              max_frames: int = 100_000, batch_frames: int | None = None,
+              workers: int = 1, quantize: tuple | None = None) -> None:
+    """Reject what no run of `cfg` on `code` at the channel points `params`
+    can use, before any frame decodes; the keywords are simulate_point's."""
+    if len(params) == 0:
+        raise ValueError("a run needs at least one channel point")
+    for param in params:
+        check_channel(channel, param)
+    if (0 if crc is None else crc.width) != code.crc_width:
+        raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
     theta = cfg.effective_theta
     if theta is not None and not 0 <= theta <= code.N:
         raise ValueError(f"theta must lie in 0..N ({code.N})")
@@ -166,6 +147,8 @@ def check_run(code: PolarCode, cfg: ModeConfig, max_frames: int, target_fe: int,
         raise ValueError("workers must be >= 1")
     if target_fe < 0:
         raise ValueError("target_fe must be >= 0 (0 disables early stop)")
+    if quantize is not None:
+        check_quantizer(*quantize)
 
 
 def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float, *,
@@ -176,20 +159,19 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
 
     Stops after the first batch whose cumulative frame errors reach target_fe
     (0 disables early stop), or at the frame cap. Identical output for any
-    `workers`. quantize = (bits, step) quantizes the LLRs; a step of None
-    stands for default_quantize_step(bits, code.rate).
+    `workers`. batch_frames None stands for default_batch_frames(code.N).
+    quantize = (bits, step) quantizes the LLRs; a step of None stands for
+    default_quantize_step(bits, code.rate).
     """
-    check_channel(channel, param)
-    if (0 if crc is None else crc.width) != code.crc_width:
-        raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
-    check_run(code, cfg, max_frames, target_fe, batch_frames, workers, seed)
-    if quantize is not None:
-        bits, step = quantize
-        check_quantizer(bits, step)
-        quantize = (bits, default_quantize_step(bits, code.rate) if step is None else step)
+    check_run(code, cfg, channel, (param,), crc=crc, seed=seed, target_fe=target_fe,
+              max_frames=max_frames, batch_frames=batch_frames, workers=workers,
+              quantize=quantize)
+    if quantize is not None and quantize[1] is None:
+        quantize = (quantize[0], default_quantize_step(quantize[0], code.rate))
     batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
     full = max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))  # batches per full chunk
     workers = min(workers, -(-max_frames // (full * batch)))
+    run = partial(_run_chunk, code, crc, cfg, channel, param, seed, batch, quantize)
     frames = bit_errors = frame_errors = 0
 
     def consume(tallies):
@@ -204,8 +186,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
         return False
 
     def jobs():
-        """_run_chunk arguments of each chunk, in frame order, each sized when
-        it is asked for from the tallies consumed by then."""
+        """(start, count) of each chunk, in frame order, each sized when it
+        is asked for from the tallies consumed by then."""
         s = 0
         while s < max_frames:
             n = full
@@ -216,12 +198,12 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
                         - (s - frames))
                 n = min(full, max(1, -(-left // batch)))
             count = min(n * batch, max_frames - s)
-            yield code, crc, cfg, channel, param, seed, s, count, batch, quantize
+            yield s, count
             s += count
 
     if workers == 1:
         for job in jobs():
-            if consume(_run_chunk(*job)):
+            if consume(run(*job)):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -229,29 +211,27 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
             # starts when submitted, and a stop leaves at most workers - 1
             # chunks running, whose tallies are discarded
             pending = jobs()
-            inflight = deque(pool.submit(_run_chunk, *job) for job in islice(pending, workers))
+            inflight = deque(pool.submit(run, *job) for job in islice(pending, workers))
             while inflight and not consume(inflight.popleft().result()):
                 job = next(pending, None)
                 if job is not None:
-                    inflight.append(pool.submit(_run_chunk, *job))
+                    inflight.append(pool.submit(run, *job))
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
     return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.effective_theta,
                     frames, bit_errors, frame_errors, seed, code.K)
 
 
-def simulate_sweep(code: PolarCode, cfg: ModeConfig, spec: SweepSpec, *,
-                   crc: CrcSpec | None = None, batch_frames: int | None = None,
-                   workers: int = 1, progress=None) -> list[SimPoint]:
-    quant = None if spec.quantize_bits is None else (spec.quantize_bits, spec.quantize_step)
+def simulate_sweep(code: PolarCode, cfg: ModeConfig, channel: str, points, *,
+                   progress=None, **kw) -> list[SimPoint]:
+    """simulate_point at each of `points` with its keywords `kw`, all checked
+    first; progress(point), if given, sees each result as it lands."""
+    check_run(code, cfg, channel, points, **kw)
     out = []
-    for p in spec.points:
-        pt = simulate_point(code, cfg, spec.channel, p, crc=crc, seed=spec.seed,
-                            target_fe=spec.target_frame_errors, max_frames=spec.max_frames,
-                            batch_frames=batch_frames, workers=workers, quantize=quant)
-        out.append(pt)
+    for p in points:
+        out.append(simulate_point(code, cfg, channel, p, **kw))
         if progress is not None:
-            progress(pt)
+            progress(out[-1])
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.construction import ORDER_16, log_tau, verify_reliability_ordering
+from polarkit.construction import ORDER_16, design_mean_llr, log_tau, verify_reliability_ordering
 
 
 def test_bec_level1_and_level2_hand_values():
@@ -63,6 +64,15 @@ def test_ga_level1_structure():
         assert t.z[1][1] == pytest.approx(2 * z0, rel=1e-12)
         if pk.tau(z0) <= 1:  # the fitted tau exceeds 1 below x ~ 0.048
             assert t.z[1][0] < z0 < t.z[1][1]
+
+
+def test_ga_rejects_z0_that_is_not_finite_and_positive():
+    for z0 in (0.0, -1.0, math.nan, math.inf, 1e307):  # 1e307 * 2**6 overflows
+        with pytest.raises(ValueError, match="z0"):
+            pk.ga_reliability(6, z0)
+    for snr in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+        with pytest.raises(ValueError, match="design SNR"):
+            design_mean_llr(snr)
 
 
 def test_ga_deep_levels_stay_ordered_and_finite():

@@ -5,7 +5,8 @@ reproduce the tallies and decoded-word SHA-256 pinned in perfbench/pins.json,
 and `simulate_point` must reproduce the tallies. A grid of small decodes
 over codes, channels, schedules, (L, q) and theta must reproduce one pinned
 SHA-256 of every (u, path metrics, CRC flags). A change that moves decoded
-words fails here in seconds instead of only in the benchmark run.
+words fails here in seconds instead of only in the benchmark run. The CSV
+files of a few `polarkit simulate` runs must reproduce one pinned SHA-256.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import polarkit as pk
+from polarkit.cli import main
 
 from conftest import make_noisy_frames
 
@@ -69,3 +71,34 @@ def test_pinned_decode_grid():
                         digest.update(u.tobytes() + pm.tobytes())
                         digest.update(b"-" if ok is None else ok.tobytes())
     assert digest.hexdigest() == _GRID_SHA256
+
+
+# (code, simulate options): early stop on a grid, BEC on a pool, a quantizer
+# with its default step, a CRC with odd batches, and theta = N/2 on a pool
+_CSV_RUNS = [
+    ("c256", ["--mode", "mode1", "--snr", "1:0.5:2.5", "--frames", "2000",
+              "--target-fe", "30", "--seed", "3"]),
+    ("c256", ["--mode", "mode1", "--eps", "0.3,0.45", "--frames", "600",
+              "--target-fe", "25", "--seed", "4", "--workers", "2", "--batch-frames", "64"]),
+    ("c256", ["--mode", "mode2", "--snr", "2.0", "--frames", "512", "--target-fe", "0",
+              "--seed", "5", "--quantize-bits", "5"]),
+    ("crc128", ["--mode", "mode4", "--snr", "1.5,3", "--frames", "200", "--target-fe", "10",
+                "--seed", "6", "--batch-frames", "48"]),
+    ("c256", ["--mode", "mode4_1", "--theta", "128", "--snr", "1.5", "--frames", "512",
+              "--target-fe", "40", "--seed", "7", "--workers", "2"]),
+]
+_CSV_SHA256 = "e75a10bae0309c30638105a600b43a63d877ad58821de3f881c3fc5795e2043f"
+
+
+def test_pinned_simulate_csv(tmp_path):
+    codes = {"c256": pk.select_frozen(pk.bec_reliability(8, 0.5), 128),
+             "crc128": pk.select_frozen(pk.ga_reliability(7, 2.0), 72, crc_width=32)}
+    for name, code in codes.items():
+        pk.save_code_file(code, tmp_path / f"{name}.json")
+    digest = hashlib.sha256()
+    for i, (name, opts) in enumerate(_CSV_RUNS):
+        out = tmp_path / f"run{i}"
+        assert main(["simulate", "--code", str(tmp_path / f"{name}.json"), *opts,
+                     "--out", str(out)]) == 0
+        digest.update(out.with_suffix(".csv").read_bytes())
+    assert digest.hexdigest() == _CSV_SHA256

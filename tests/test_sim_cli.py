@@ -20,7 +20,6 @@ from polarkit.decoder import ModeConfig
 from polarkit import sim
 from polarkit.sim import (
     SimPoint,
-    SweepSpec,
     points_to_csv,
     simulate_point,
     simulate_sweep,
@@ -82,7 +81,7 @@ def thread_pool(monkeypatch):
 
     def counting(*args):
         with lock:
-            started.append(args[6])
+            started.append(args[-2])
         return run(*args)
 
     monkeypatch.setattr(sim, "_run_chunk", counting)
@@ -135,7 +134,7 @@ def _recording_chunks(monkeypatch):
 
     def recording(*args):
         with lock:
-            chunks.append((args[6], args[7]))
+            chunks.append((args[-2], args[-1]))
         return run(*args)
 
     monkeypatch.setattr(sim, "_run_chunk", recording)
@@ -266,9 +265,8 @@ def test_simulate_bec_channel(small_code):
 
 def test_fer_decreases_with_snr(small_code):
     code, _ = small_code
-    spec = SweepSpec("awgn", (1.0, 2.0, 3.0), max_frames=3000,
-                     target_frame_errors=0, seed=11)
-    pts = simulate_sweep(code, ModeConfig.mode1(), spec, batch_frames=64)
+    pts = simulate_sweep(code, ModeConfig.mode1(), "awgn", (1.0, 2.0, 3.0), max_frames=3000,
+                         target_fe=0, seed=11, batch_frames=64)
     fers = [p.fer for p in pts]
     assert fers[0] > fers[1] > fers[2]
     assert fers[2] < 0.2
@@ -323,8 +321,11 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     for snr in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             simulate_point(code, cfg, "awgn", snr)
-    with pytest.raises(ValueError):
-        SweepSpec("bec", (0.3, 1.5))
+    # a sweep checks every point before the first decodes
+    with pytest.raises(ValueError, match="erasure"):
+        simulate_sweep(code, cfg, "bec", (0.3, 1.5))
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_sweep(code, cfg, "awgn", ())
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -477,6 +478,60 @@ def test_cli_verify_prop1_bad_step_exits_2(step):
     assert proc.stderr.strip().startswith("error: ")
 
 
+@pytest.mark.parametrize("start,stop,step,message", [
+    ("0.1", "0.2", "1e-12", "eps grid '0.1:1e-12:0.2' has more than 10000 points"),
+    ("0.5", "0.4", "0.01", "eps grid '0.5:0.01:0.4' has no point: its stop lies below its start"),
+])
+def test_cli_verify_prop1_bad_grid_fails_fast(start, stop, step, message):
+    # in a subprocess under a time and address-space limit, so a grid built
+    # before it is counted fails the test instead of exhausting memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(pk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarkit.cli", "verify-prop1", "--eps-start", start,
+         "--eps-stop", stop, "--eps-step", step, "--depth", "2"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [f"error: {message}"]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e308"])
+def test_cli_construct_bad_design_snr_exits_2(snr, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["construct", "--channel", "awgn", "--n", "64", "--k", "32",
+                 f"--design-snr={snr}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"error: design SNR {float(snr)} dB gives no finite LLR mean > 0"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [["patterns"], ["simulate", "--snr", "2.0", "--frames", "64"]])
+@pytest.mark.parametrize("edit,message", [
+    ({"n": 4.5}, "field 'n' has the wrong type: 4.5"),
+    ({"K": "8"}, "field 'K' has the wrong type: '8'"),
+    ({"crc_width": "x"}, "field 'crc_width' has the wrong type: 'x'"),
+    (None, "does not hold a JSON object"),
+])
+def test_cli_malformed_code_file_exits_2(cmd, edit, message, tmp_path, small_code, capsys):
+    _, codefile = small_code
+    doc = json.loads(codefile.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([doc] if edit is None else {**doc, **edit}))
+    out = ["--out", str(tmp_path / "sim")] if cmd[0] == "simulate" else []
+    assert main([cmd[0], "--code", str(bad), *cmd[1:], *out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code file ") and err[0].endswith(message)
+    assert captured.out == ""
+
+
 def test_cli_simulate_deterministic_across_workers(tmp_path, small_code):
     _, codefile = small_code
     args = ["simulate", "--code", str(codefile), "--mode", "mode2",
@@ -505,9 +560,8 @@ def test_cli_simulate_quantized_llrs(tmp_path, small_code):
 
 def test_quantize_default_step_saturation(small_code):
     code, _ = small_code
-    spec = SweepSpec("awgn", (2.0,), max_frames=128, target_frame_errors=0,
-                     seed=3, quantize_bits=5)
-    pts = simulate_sweep(code, ModeConfig.mode1(), spec, batch_frames=64)
+    pts = simulate_sweep(code, ModeConfig.mode1(), "awgn", (2.0,), max_frames=128,
+                         target_fe=0, seed=3, quantize=(5, None), batch_frames=64)
     assert pts[0].frames == 128
     # a step of None is the default step, through the API too
     kw = dict(seed=3, target_fe=0, max_frames=128, batch_frames=64)
