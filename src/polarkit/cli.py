@@ -1,7 +1,7 @@
 """Command-line front end: construct, patterns, verify-prop1, cost, simulate.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure (including a failed
-verification).
+verification and running out of memory).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,10 +90,24 @@ def _cmd_patterns(args) -> int:
     return 0
 
 
+def _exact(option: str, text: str) -> Fraction:
+    """An --eps-* value as an exact Fraction, refused first if its decimal
+    exponent exceeds 1000 in size: Fraction expands 10**exponent, which
+    runs for minutes at 1e9999999."""
+    try:
+        big = abs(Decimal(text).adjusted()) > 1000
+    except InvalidOperation:  # '1/3', or an exponent beyond even Decimal's range
+        big = "e" in text.lower()
+    if big:
+        raise ValueError(f"{option} {text!r} is not a number with a decimal exponent "
+                         "within -1000..1000")
+    return Fraction(text)
+
+
 def _cmd_verify_prop1(args) -> int:
-    start = Fraction(args.eps_start)
-    stop = Fraction(args.eps_stop)
-    step = Fraction(args.eps_step)
+    start = _exact("--eps-start", args.eps_start)
+    stop = _exact("--eps-stop", args.eps_stop)
+    step = _exact("--eps-step", args.eps_step)
     if step <= 0:
         raise ValueError("--eps-step must be positive")
     count = (stop - start) // step + 1  # exact, from the Fractions
@@ -170,23 +185,13 @@ def _cmd_simulate(args) -> int:
     channel = "awgn" if args.snr is not None else "bec"
     points = _parse_points(args.snr if channel == "awgn" else args.eps)
 
-    preset = {"mode4": ModeConfig.mode4, "mode2": ModeConfig.mode2,
-              "mode1": ModeConfig.mode1}.get(args.mode)
-    kw = {"schedule": args.schedule}
     if args.theta is not None and args.mode != "mode4_1":
         raise ValueError("--theta applies only to --mode mode4_1")
-    if args.mode == "mode4_1":
-        if args.theta is None:
-            raise ValueError("mode4_1 requires --theta")
-        cfg = ModeConfig.mode4_1(args.theta, **kw)
-    elif preset is not None:
-        cfg = preset(**kw)
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
-    if args.L is not None or args.q is not None:
-        cfg = ModeConfig.custom(L=args.L if args.L is not None else cfg.L, q=args.q,
-                                theta=cfg.theta, **kw)
-        cfg.mode = args.mode  # echo the requested label in reports
+    if args.mode == "mode4_1" and args.theta is None:
+        raise ValueError("mode4_1 requires --theta")
+    cfg = ModeConfig.custom(L=ModeConfig._LIST_SIZES[args.mode] if args.L is None else args.L,
+                            q=args.q, theta=args.theta, schedule=args.schedule)
+    cfg.mode = args.mode  # echo the requested label in reports
 
     if args.quantize_step is not None and args.quantize_bits is None:
         raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
@@ -196,7 +201,7 @@ def _cmd_simulate(args) -> int:
                else (args.quantize_bits, args.quantize_step))
     check_run(code, cfg, channel, points, **run)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
-          f"L={cfg.L} q={cfg.q} theta={cfg.effective_theta} | "
+          f"L={cfg.L} q={cfg.q} theta={cfg.theta} | "
           f"Eb/N0 with rate K/N incl CRC | seed={args.seed}")
     rows = simulate_sweep(code, cfg, channel, points,
                           progress=lambda p: print(p.csv_row(), flush=True), **run)
@@ -276,8 +281,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -107,7 +107,8 @@ class PolarCode:
 
     def __post_init__(self):
         self.frozen_mask = as_bits(self.frozen_mask)
-        if len(self.frozen_mask) != self.N:
+        # n against the mask's length first: 1 << n of a huge n exhausts memory
+        if self.n != len(self.frozen_mask).bit_length() - 1 or len(self.frozen_mask) != self.N:
             raise ValueError("frozen_mask length must equal 2**n")
         if not 0 < self.K < self.N:
             raise ValueError(f"K must satisfy 0 < K < N, got K={self.K}, N={self.N}")

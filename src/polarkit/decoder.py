@@ -11,9 +11,9 @@ frozen pattern and the schedule:
               six mixed patterns go through the divide-and-conquer expansion
               unit; anything else decodes bit by bit. With list size one (and
               for each path after the mode4_1 switching point) mixed-pattern
-              leaves decode bit-serially so the output is exactly classic SC;
-              the joint symbol decision is strictly better on a few percent of
-              leaves and remains available through the 'dnc' schedule.
+              leaves decode bit-serially as classic SC does; the joint symbol
+              decision is strictly better on a few percent of leaves and
+              remains available through the 'dnc' schedule.
 * 'dnc'     - every DF-free eight-bit pattern goes through the
               divide-and-conquer unit (exhaustive when q is large enough).
 * 'bitwise' - no shortcuts; single-bit leaves (reference schedule).
@@ -25,9 +25,11 @@ it still holds (the node's LLRs after the left child, the left child's
 partial sums after the right child) by those indices. The walk carries no
 input bits: the transform is its own inverse, so u is the transform of the
 root's partial sums. Where paths decode alone (list size one, or past the
-mode4_1 switching point) a lean walk takes every path's own best candidate:
-no path moves, so it returns partial sums only, and a rate-1 leaf is its
-hard decision.
+mode4_1 switching point) a lean walk takes every path's own best candidate,
+keyed by its penalty alone: no path moves, so it returns partial sums only,
+and a rate-1 leaf is its hard decision. So at list size one 'bitwise' is
+classic SC on any LLRs, and 'fast' differs from it only where the rate-1 and
+repetition shortcuts meet LLRs of zero.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -56,11 +58,6 @@ __all__ = [
     "leaf_metrics_rcc", "aml_expand_prune", "classify_node",
     "rate0_penalty", "rate1_candidates", "repetition_candidates",
 ]
-
-
-def _default_q(L: int) -> int:
-    """Expansion width used when none is given: min(L, 2^M)."""
-    return min(L, 1 << LEAF_SPAN)
 
 
 def hard_decision(llr):
@@ -452,7 +449,7 @@ def _combine(c_left, c_right):
 
 
 class _ListDecoder:
-    """Decodes a batch of frames, each with list size L, sharing one schedule.
+    """Decodes a batch of frames at one checked operating point (ModeConfig).
 
     The path order lives in one place: the (c, parents) that `_walk`
     returns for every subtree; `_pick_winner` derives u at the root. Every
@@ -463,21 +460,10 @@ class _ListDecoder:
     decodes; decode_frames builds a fresh instance per call.
     """
 
-    def __init__(self, code: PolarCode, L: int, q: int | None, theta: int | None,
-                 schedule: str):
-        if schedule not in _SCHEDULES:
-            raise ValueError(f"schedule must be one of {_SCHEDULES}")
-        if L < 1:
-            raise ValueError("list size must be >= 1")
-        self.code = code
-        self.L = L
-        self.q = _default_q(L) if q is None else q
-        if not 1 <= self.q <= 1 << LEAF_SPAN:
-            raise ValueError("q must lie in 1..2^M")
-        self.theta = code.N if theta is None else theta
-        if not 0 <= self.theta <= code.N:
-            raise ValueError("theta must lie in 0..N")
-        self.tree = _build_tree(code.frozen_mask.tobytes(), schedule)
+    def __init__(self, code: PolarCode, cfg: ModeConfig):
+        self.code, self.L, self.q = code, cfg.L, cfg.q
+        self.theta = cfg.switch_point(code.N)
+        self.tree = _build_tree(code.frozen_mask.tobytes(), cfg.schedule)
 
     def _alone(self, node) -> bool:
         """True where every path decodes by itself: list size one, or the
@@ -497,22 +483,20 @@ class _ListDecoder:
 
     def _pick(self, node: _Leaf, alpha):
         """Each path's own best candidate at a non-frozen leaf where paths
-        decode alone; returns the leaf's partial sums. Before theta (so at
-        L=1) this is the list prune of one path, keyed by pm + penalty, where
-        a penalty lost to rounding ties; past it the key is the penalty. Ties
-        go to the first candidate."""
-        past = node.start >= self.theta
+        decode alone; returns the leaf's partial sums. The key is the penalty
+        alone, not pm + penalty, where a rounding residue of g can vanish: so
+        it does not depend on theta, and bit by bit it is SC. Ties go to the
+        first candidate."""
         if node.kind is NodeKind.RATE1:
             # the hard decision has penalty +0.0 and comes first: it always wins
             return (alpha < 0).view(np.uint8)
         if node.kind is NodeKind.REPETITION:
             p0, p1 = _rep_penalties(alpha)
-            one = p1 < p0 if past else self._pm + p1 < self._pm + p0
-            self._pm = self._pm + np.where(one, p1, p0)
-            return node.codewords[one.view(np.uint8)]
+            self._pm = self._pm + np.minimum(p0, p1)
+            return node.codewords[(p1 < p0).view(np.uint8)]
         t1, t2 = leaf_metrics_rcc(alpha)
         pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
-        best = (pens if past else self._pm[..., None] + pens).argmin(axis=-1)[..., None]
+        best = pens.argmin(axis=-1)[..., None]
         self._pm = self._pm + np.take_along_axis(pens, best, -1)[..., 0]
         return node.codewords[np.take_along_axis(syms, best, -1)[..., 0]]
 
@@ -616,9 +600,11 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
     path continues alone; with crc the best CRC-passing path wins. Returns
     (u, path_metrics, crc_ok): the (B, N) input estimates, the winners'
     metrics, and a (B,) bool array of CRC passes (None without crc). llrs is
-    only read; LLRs beyond +-BEC_LLR_CLAMP are clamped in a copy.
+    only read; LLRs beyond +-BEC_LLR_CLAMP are clamped in a copy. The
+    keywords are checked as the ModeConfig they build.
     """
-    return _ListDecoder(code, L, q, theta, schedule).decode(llrs, crc=crc)
+    cfg = ModeConfig.custom(L, q, theta=theta, schedule=schedule)
+    return _ListDecoder(code, cfg).decode(llrs, crc=crc)
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +613,16 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
 
 @dataclass
 class ModeConfig:
-    """Decoder operating point: list size L, expansion width q, schedule.
+    """Decoder operating point: list size L, expansion width q, switching
+    point theta, schedule. Building one checks them all but theta <= N,
+    which needs the code (`switch_point`).
 
     Named modes fix L: mode4 = 4, mode2 = 2, mode1 = 1 (classic SC);
     mode4_1 runs L = 4 for bits below theta, then each surviving path
     continues independently (per-path best candidate, no cross-path pruning)
     and the best final metric wins (CRC-passing preferred). q defaults to
     min(L, 2^M); 'custom' leaves L free. Only mode4_1 and custom take a
-    theta, which must be >= 0 (a run also checks it against N).
+    theta, which must be >= 0.
     """
 
     mode: str = "mode4"
@@ -659,8 +647,7 @@ class ModeConfig:
                 raise ValueError(f"{self.mode} takes no theta (mode4_1 and custom do)")
             if self.theta < 0:
                 raise ValueError("theta must be >= 0")
-        if self.q is None:
-            self.q = _default_q(self.L)
+        self.q = min(self.L, 1 << LEAF_SPAN) if self.q is None else self.q
         if not 1 <= self.q <= 1 << LEAF_SPAN:
             raise ValueError("q must lie in 1..2^M")
         if self.schedule not in _SCHEDULES:
@@ -686,7 +673,14 @@ class ModeConfig:
     def custom(cls, L: int, q: int | None = None, **kw):
         return cls(mode="custom", L=L, q=q, **kw)
 
+    def switch_point(self, N: int) -> int:
+        """Where paths start to decode alone on a length-N code: theta, or N
+        without one. The one check of theta <= N."""
+        if self.theta is not None and self.theta > N:
+            raise ValueError(f"theta must lie in 0..N ({N})")
+        return N if self.theta is None else self.theta
+
     @property
     def effective_theta(self) -> int | None:
-        """The switching point a decode uses: theta, None for mode4/mode2/mode1."""
+        """theta, under the name the benchmark harness still reads."""
         return self.theta

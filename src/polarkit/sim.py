@@ -117,7 +117,7 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, batch, quant, s
     """Decode frames [start, start+count) in one call; returns the
     (frames, bit_errors, frame_errors) of each stop batch, in frame order."""
     infos, llrs = _build_frames(code, crc, channel, param, seed, start, count, quant)
-    u, _, _ = decode_frames(code, llrs, L=cfg.L, q=cfg.q, theta=cfg.effective_theta,
+    u, _, _ = decode_frames(code, llrs, L=cfg.L, q=cfg.q, theta=cfg.theta,
                             schedule=cfg.schedule, crc=crc)
     bad = u[:, code.info_positions] != infos
     return [(len(b), int(b.sum()), int(b.any(axis=1).sum()))
@@ -136,9 +136,7 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
         check_channel(channel, param)
     if (0 if crc is None else crc.width) != code.crc_width:
         raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
-    theta = cfg.effective_theta
-    if theta is not None and not 0 <= theta <= code.N:
-        raise ValueError(f"theta must lie in 0..N ({code.N})")
+    cfg.switch_point(code.N)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits (0 <= seed < 2**64)")
     if (batch_frames is not None and batch_frames < 1) or max_frames < 1:
@@ -218,7 +216,7 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
                     inflight.append(pool.submit(run, *job))
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
-    return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.effective_theta,
+    return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.theta,
                     frames, bit_errors, frame_errors, seed, code.K)
 
 

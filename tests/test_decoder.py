@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.channel import BEC_LLR_CLAMP
+from polarkit.channel import BEC_LLR_CLAMP, default_quantize_step, quantize_llr
 from polarkit.core import CRC32, CrcSpec, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
@@ -232,6 +232,42 @@ def test_decode_L1_equals_plain_sc_quick(rng):
         _, llrs = make_noisy_frames(code, 500, 1.5, rng)
         u, _, _ = decode_frames(code, llrs, L=1)
         assert np.array_equal(u, plain_sc(code, llrs))
+
+
+def _zero_heavy_llrs(kind, rng, count, N):
+    """LLRs of random words where rounding residues of g meet huge path
+    metrics: clamped BEC (+-BEC_LLR_CLAMP, a fifth erased to -0.0) or 4-bit
+    quantized Gaussian."""
+    if kind == "bec":
+        llrs = rng.choice([-BEC_LLR_CLAMP, BEC_LLR_CLAMP], size=(count, N))
+        llrs[rng.random(llrs.shape) < 0.2] = -0.0
+        return llrs
+    return quantize_llr(rng.normal(0.5, 2.0, size=(count, N)), 4, default_quantize_step(4, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["bec", "quantized"])
+def test_bitwise_L1_is_plain_sc_for_every_theta(kind, rng):
+    # a lone path picks by its penalty alone, so where pm + penalty would
+    # lose a residue the pick still follows the LLR's sign, as SC does
+    for n in (5, 9, 10):
+        code = pk.select_frozen(pk.bec_reliability(n, 0.4), 1 << (n - 1))
+        llrs = _zero_heavy_llrs(kind, rng, 64, code.N)
+        want = plain_sc(code, llrs)
+        for theta in (None, 0, code.N // 2):
+            u, _, _ = decode_frames(code, llrs, L=1, theta=theta, schedule="bitwise")
+            assert np.array_equal(u, want), (code.N, theta)
+
+
+@pytest.mark.parametrize("schedule", ["fast", "dnc", "bitwise"])
+def test_L1_words_do_not_depend_on_theta(schedule, rng):
+    for n in (9, 10):
+        code = pk.select_frozen(pk.bec_reliability(n, 0.4), 1 << (n - 1))
+        for kind in ("bec", "quantized"):
+            llrs = _zero_heavy_llrs(kind, rng, 64, code.N)
+            want, _, _ = decode_frames(code, llrs, L=1, schedule=schedule)
+            for theta in range(0, code.N + 1, code.N // 4):
+                u, _, _ = decode_frames(code, llrs, L=1, theta=theta, schedule=schedule)
+                assert np.array_equal(u, want), (code.N, kind, theta)
 
 
 @settings(max_examples=20, deadline=None)

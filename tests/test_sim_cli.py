@@ -34,6 +34,21 @@ def small_code(tmp_path_factory):
     return code, path
 
 
+def _cli_subprocess(*argv, address_space=2 << 30, timeout=60):
+    """`python -m polarkit.cli *argv` in a subprocess under a timeout and an
+    address-space limit, so a hang or a runaway allocation fails the test."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    src = str(Path(pk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "polarkit.cli", *argv], capture_output=True,
+                          text=True, timeout=timeout, env=env, preexec_fn=limit)
+
+
 def test_simulate_point_tallies_consistent(small_code):
     code, _ = small_code
     pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, seed=7,
@@ -433,22 +448,11 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     ("-1e308:1e-308:1e308", "grid '-1e308:1e-308:1e308' has more than 10000 points"),
 ])
 def test_cli_simulate_bad_grid_fails_fast(grid, message, tmp_path, small_code):
-    # in a subprocess under a time and address-space limit, so a parser that
-    # builds a huge grid before checking it fails the test instead of
-    # exhausting memory
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+    # a parser that builds a huge grid before checking it fails the test
+    # instead of exhausting memory
     _, codefile = small_code
-    src = str(Path(pk.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "polarkit.cli", "simulate", "--code", str(codefile),
-         "--mode", "mode1", "--frames", "64", "--out", str(tmp_path / "g"), f"--snr={grid}"],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit)
+    proc = _cli_subprocess("simulate", "--code", str(codefile), "--mode", "mode1",
+                           "--frames", "64", "--out", str(tmp_path / "g"), f"--snr={grid}")
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == [f"error: {message}"]
     assert proc.stdout == "" and not (tmp_path / "g.csv").exists()
@@ -466,39 +470,56 @@ def test_cli_simulate_theta_outside_mode4_1_exits_2(mode, tmp_path, small_code, 
 
 @pytest.mark.parametrize("step", ["0", "-0.05"])
 def test_cli_verify_prop1_bad_step_exits_2(step):
-    # in a subprocess with a timeout, so a non-advancing grid loop fails
-    # the test instead of hanging it
-    src = str(Path(pk.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "polarkit.cli", "verify-prop1", "--eps-start", "0.1",
-         "--eps-stop", "0.2", "--eps-step", step, "--depth", "2"],
-        capture_output=True, text=True, timeout=30, env=env)
+    # a non-advancing grid loop fails the test instead of hanging it
+    proc = _cli_subprocess("verify-prop1", "--eps-start", "0.1", "--eps-stop", "0.2",
+                           "--eps-step", step, "--depth", "2", timeout=30)
     assert proc.returncode == 2
     assert proc.stderr.strip().startswith("error: ")
+
+
+_EXPONENT = "is not a number with a decimal exponent within -1000..1000"
 
 
 @pytest.mark.parametrize("start,stop,step,message", [
     ("0.1", "0.2", "1e-12", "eps grid '0.1:1e-12:0.2' has more than 10000 points"),
     ("0.5", "0.4", "0.01", "eps grid '0.5:0.01:0.4' has no point: its stop lies below its start"),
+    # Fraction(value) alone would expand 10**9999999 for minutes
+    ("1e9999999", "0.2", "0.01", f"--eps-start '1e9999999' {_EXPONENT}"),
+    ("0.1", "0.2", "1e-9999999", f"--eps-step '1e-9999999' {_EXPONENT}"),
+    ("0.1", "1e99999999999999999999", "0.01",  # beyond even Decimal's exponents
+     f"--eps-stop '1e99999999999999999999' {_EXPONENT}"),
 ])
 def test_cli_verify_prop1_bad_grid_fails_fast(start, stop, step, message):
-    # in a subprocess under a time and address-space limit, so a grid built
-    # before it is counted fails the test instead of exhausting memory
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    src = str(Path(pk.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "polarkit.cli", "verify-prop1", "--eps-start", start,
-         "--eps-stop", stop, "--eps-step", step, "--depth", "2"],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit)
+    # a grid built before it is counted, or a value expanded before its
+    # exponent is checked, fails the test instead of exhausting memory or time
+    proc = _cli_subprocess("verify-prop1", "--eps-start", start, "--eps-stop", stop,
+                           "--eps-step", step, "--depth", "2")
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == [f"error: {message}"]
     assert proc.stdout == ""
+
+
+def test_cli_code_file_with_huge_n_exits_2(tmp_path, small_code):
+    # 1 << n of this n would exhaust memory before the mask length is compared
+    _, codefile = small_code
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({**json.loads(codefile.read_text()), "n": 10**12}))
+    proc = _cli_subprocess("patterns", "--code", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == ["error: frozen_mask length must equal 2**n"]
+    assert proc.stdout == ""
+
+
+def test_cli_construct_out_of_memory_exits_2(tmp_path):
+    # a 2**40-bit code's reliability recursion runs out of memory: a runtime
+    # failure with one error line, not a traceback (1 GiB keeps the run small)
+    out = tmp_path / "c.json"
+    proc = _cli_subprocess("construct", "--channel", "bec", "--n", str(1 << 40), "--k", "5",
+                           "--param", "0.5", "--out", str(out), address_space=1 << 30)
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e308"])
