@@ -42,6 +42,11 @@ _CATALOG = {2: TWO_BIT_PATTERNS, 4: FOUR_BIT_PATTERNS, 8: EIGHT_BIT_PATTERNS,
 # Most points a 'start:step:stop' grid may have; checked before any is built.
 _MAX_GRID_POINTS = 10_000
 
+# Longest code `construct` designs, checked before the reliability recursion,
+# which keeps every level: 2**20 takes seconds and under 100 MB, while one
+# 16-frame decode batch of a longer code at L=8 holds 2 GiB of float64 LLRs.
+_MAX_CONSTRUCT_N = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -52,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_construct(args) -> int:
     n = _log2_exact(args.n)
+    if args.n > _MAX_CONSTRUCT_N:
+        raise ValueError(f"N must be at most {_MAX_CONSTRUCT_N} (2**20), got {args.n}")
     if not 0 < args.k < args.n:
         raise ValueError("K must satisfy 0 < K < N")
     if args.channel == "bec":
@@ -220,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="design a code and write its JSON description")
     c.add_argument("--channel", choices=("bec", "awgn"), required=True)
-    c.add_argument("--n", type=int, required=True, help="code length N (power of two)")
+    c.add_argument("--n", type=int, required=True,
+                   help=f"code length N (power of two, at most {_MAX_CONSTRUCT_N} = 2**20)")
     c.add_argument("--k", type=int, required=True, help="non-frozen positions incl CRC bits")
     c.add_argument("--param", type=float, help="erasure probability (bec)")
     c.add_argument("--design-snr", type=float, help="design SNR (Es/N0) in dB (awgn)")

@@ -176,8 +176,8 @@ class CrcSpec:
     reflect: bool = True
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("CRC width must be >= 1")
+        if not 1 <= self.width <= 64:
+            raise ValueError("CRC width must lie in 1..64")
         if not 0 < self.polynomial < (1 << self.width):
             raise ValueError("polynomial degree must equal width")
 
@@ -233,29 +233,29 @@ def _register_steps(reg: int, spec: CrcSpec, count: int) -> list:
 
 
 @lru_cache(maxsize=16)
-def _crc_affine(spec: CrcSpec, nbits: int):
-    """(G, c) with tail = (m @ G + c) mod 2 for every nbits-bit row m.
+def _crc_table(spec: CrcSpec, nbits: int):
+    """(T, c) with register = c ^ XOR_b T[b, byte b] for every nbits-bit row,
+    its bits packed into bytes by `np.packbits` (first bit in the MSB).
 
     The register is affine in the input bits over GF(2): a one at input j
     enters as the feedback polynomial and then shifts through the remaining
     nbits - 1 - j zero-input steps, and the initial value shifts through all
-    nbits steps. So O(nbits) register steps build G, one row per bit.
-    Columns follow the tail order of `_crc_tails`. Float entries make the
-    product one BLAS call; its sums stay exact below 2^24 (float32) and
-    2^53 (float64).
+    nbits steps. So O(nbits) register steps give each bit's share, and
+    T[b, v] XORs the shares of the bits set in byte value v at byte b. The
+    zero bits that pad the last byte have no share. c holds the initial
+    value's share and xor_out.
     """
-    w = spec.width
-    poly = _reflect_int(spec.polynomial, w) if spec.reflect else spec.polynomial
-    impulse = _register_steps(poly, spec, nbits - 1)
-    reg = _register_steps(spec.init, spec, nbits)[-1]
-    shifts = range(w) if spec.reflect else range(w - 1, -1, -1)
-    rows = np.array(impulse[::-1], dtype=np.uint64)[:, None]
-    G = ((rows >> np.array(shifts, dtype=np.uint64)) & np.uint64(1)).astype(
-        np.float32 if nbits < 1 << 24 else np.float64)
-    c = np.array([((reg ^ spec.xor_out) >> s) & 1 for s in shifts], dtype=np.uint8)
-    G.setflags(write=False)
-    c.setflags(write=False)
-    return G, c
+    poly = _reflect_int(spec.polynomial, spec.width) if spec.reflect else spec.polynomial
+    nbytes = -(-nbits // 8)
+    share = np.zeros(nbytes * 8, dtype=np.uint64)
+    share[:nbits] = _register_steps(poly, spec, nbits - 1)[::-1]
+    share = share.reshape(nbytes, 8)
+    values = np.arange(256)
+    T = np.zeros((nbytes, 256), dtype=np.uint64)
+    for k in range(8):
+        T ^= np.where((values >> (7 - k)) & 1, share[:, k, None], np.uint64(0))
+    T.setflags(write=False)
+    return T, np.uint64(_register_steps(spec.init, spec, nbits)[-1] ^ spec.xor_out)
 
 
 def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
@@ -263,8 +263,13 @@ def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
 
     Reflected CRCs emit the register LSB first; unreflected ones MSB first.
     """
-    G, c = _crc_affine(spec, rows.shape[1])
-    return ((rows.astype(G.dtype) @ G).astype(np.int64) & 1).astype(np.uint8) ^ c
+    T, c = _crc_table(spec, rows.shape[1])
+    packed = np.packbits(rows, axis=1)
+    reg = np.bitwise_xor.reduce(T[np.arange(T.shape[0]), packed], axis=1) ^ c
+    shifts = np.arange(spec.width, dtype=np.uint64)
+    if not spec.reflect:
+        shifts = shifts[::-1]
+    return ((reg[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def crc_append(info, spec: CrcSpec = CRC32) -> Bits:

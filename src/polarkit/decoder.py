@@ -581,7 +581,9 @@ class _ListDecoder:
             win = pm_all.argmin(axis=1)
             return polar_transform(c_all[rows, win]), pm_all[rows, win], None
         u_all = polar_transform(c_all)
-        info = u_all[:, :, self.code.info_positions]
+        # np.take keeps rows C-ordered; fancy indexing on the last axis puts
+        # the path axis innermost, and the CRC then packs strided bits
+        info = np.take(u_all, self.code.info_positions, axis=2)
         passing = crc_check_rows(info.reshape(B * A, -1), crc).reshape(B, A)
         masked = np.where(passing, pm_all, np.inf)
         has = passing.any(axis=1)

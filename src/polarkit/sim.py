@@ -22,8 +22,10 @@ left to the stop, less those in flight, so a point that stops early decodes
 about what one batch per call would. Tallies are still consumed one batch at
 a time, and when a batch stops the point the rest of its chunk is discarded.
 With several workers each worker decodes one chunk at a time; a stop also
-leaves at most workers - 1 later chunks decoded, whose tallies are discarded.
-Chunk sizes change how fast a point runs, never its tallies.
+finds at most workers - 1 later chunks in flight. They are ended, not
+finished: the point terminates their worker processes and reaps them before
+it returns, and their tallies are never read. Chunk sizes change how fast a
+point runs, never its tallies.
 
 SNR convention: Eb/N0 in dB with rate = K/N, K counting CRC bits.
 """
@@ -204,16 +206,27 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
             if consume(run(*job)):
                 break
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        inflight = deque()
+        try:
             # one chunk per worker, consumed in frame-index order: each chunk
             # starts when submitted, and a stop leaves at most workers - 1
             # chunks running, whose tallies are discarded
             pending = jobs()
-            inflight = deque(pool.submit(run, *job) for job in islice(pending, workers))
+            inflight.extend(pool.submit(run, *job) for job in islice(pending, workers))
             while inflight and not consume(inflight.popleft().result()):
                 job = next(pending, None)
                 if job is not None:
                     inflight.append(pool.submit(run, *job))
+        finally:
+            if inflight:
+                # a stop, an error or Ctrl-C left chunks running whose tallies
+                # are never read: end their workers instead of waiting. Python
+                # < 3.14 has no public terminate_workers(), so this reads the
+                # pool's private process table (a thread pool has none).
+                for proc in list(getattr(pool, "_processes", {}).values()):
+                    proc.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
     return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.theta,

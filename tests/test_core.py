@@ -158,6 +158,7 @@ CRC_SPECS = [
     CrcSpec(width=16, polynomial=0x8005, init=0, xor_out=0xFFFF, reflect=True),
     CrcSpec(width=32, polynomial=0x04C11DB7, init=0, xor_out=0, reflect=False),
     CRC32,
+    CrcSpec(width=64, polynomial=0x42F0E1EBA9EA3693, init=2**64 - 1, xor_out=2**64 - 1),
 ]
 
 
@@ -186,6 +187,16 @@ def test_crc_spec_validation():
         crc_check_rows(np.zeros(32, dtype=np.uint8))  # not longer than the CRC
     with pytest.raises(ValueError):
         pk.crc_append([0, 2, 1])  # not a bit vector
+
+
+def test_crc_width_above_64_rejected():
+    # the register is a uint64: a wider CRC is refused when it is described,
+    # not when crc_append overflows on it
+    for width in (65, 70):
+        with pytest.raises(ValueError, match=r"CRC width must lie in 1\.\.64"):
+            CrcSpec(width=width, polynomial=1 << (width - 1) | 1, init=0, xor_out=0)
+    spec = CrcSpec(width=64, polynomial=1 << 63 | 1, init=0, xor_out=0)
+    assert crc_check_rows(pk.crc_append(np.ones((2, 100), dtype=np.uint8), spec), spec).all()
 
 
 def test_polar_code_validation():

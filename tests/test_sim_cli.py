@@ -1,9 +1,11 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -235,6 +237,31 @@ def test_simulate_tallies_independent_of_chunk_budget(small_code, thread_pool, m
     want = simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, **kw)
     _chunk_batches(monkeypatch, batches, batch)
     assert simulate_point(code, ModeConfig.mode1(), "awgn", 2.0, workers=workers, **kw) == want
+
+
+def test_simulate_stop_ends_running_workers(small_code, monkeypatch):
+    # on real worker processes, every chunk past the stopping batch sleeps for
+    # 20 s: the point returns once the stop is read, with the one-worker
+    # tallies, and leaves no child process behind
+    code, _ = small_code
+    kw = dict(seed=3, target_fe=25, max_frames=3000, batch_frames=64)
+    want = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, **kw)
+    run = sim._run_chunk
+
+    def slow_past_stop(*args):
+        if args[-2] >= want.frames:
+            time.sleep(20)
+        return run(*args)
+
+    # the pool pickles the chunk function by name, and workers forked after
+    # this patch find the slow one under that name
+    slow_past_stop.__module__, slow_past_stop.__qualname__ = sim.__name__, "_run_chunk"
+    monkeypatch.setattr(sim, "_run_chunk", slow_past_stop)
+    start = time.perf_counter()
+    pt = simulate_point(code, ModeConfig.mode1(), "awgn", 2.5, workers=2, **kw)
+    assert time.perf_counter() - start < 5
+    assert pt == want
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("channel,param,quant", [
@@ -510,16 +537,22 @@ def test_cli_code_file_with_huge_n_exits_2(tmp_path, small_code):
     assert proc.stdout == ""
 
 
-def test_cli_construct_out_of_memory_exits_2(tmp_path):
-    # a 2**40-bit code's reliability recursion runs out of memory: a runtime
-    # failure with one error line, not a traceback (1 GiB keeps the run small)
+def test_cli_construct_huge_n_fails_fast(tmp_path, capsys):
+    # a 2**40-bit code is refused before its reliability recursion allocates
+    # a level: one error line within a small address space and time limit
     out = tmp_path / "c.json"
     proc = _cli_subprocess("construct", "--channel", "bec", "--n", str(1 << 40), "--k", "5",
-                           "--param", "0.5", "--out", str(out), address_space=1 << 30)
+                           "--param", "0.5", "--out", str(out), address_space=256 << 20,
+                           timeout=2)
     assert proc.returncode == 2
-    err = proc.stderr.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: N must be at most {1 << 20} (2**20), "
+                                        f"got {1 << 40}"]
     assert proc.stdout == "" and not out.exists()
+    # 2**21, the first length past the bound, is refused on either channel
+    assert main(["construct", "--channel", "awgn", "--n", str(1 << 21), "--k", "5",
+                 "--design-snr", "1", "--out", str(out)]) == 2
+    assert "N must be at most 1048576 (2**20)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e308"])
