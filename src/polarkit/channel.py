@@ -73,12 +73,18 @@ def noise_sigma2(ebno_db: float, rate: float) -> float:
     return 1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0))
 
 
-def check_channel(channel: str, param: float) -> None:
-    """Reject an unknown channel, a non-finite Eb/N0 or an erasure probability outside (0, 1)."""
+def check_channel(channel: str, param: float, rate: float) -> None:
+    """Reject an unknown channel, an Eb/N0 whose noise variance at `rate` is
+    not finite and > 0, or an erasure probability outside (0, 1)."""
     if channel not in ("awgn", "bec"):
         raise ValueError("channel must be 'awgn' or 'bec'")
-    if channel == "awgn" and not np.isfinite(param):
-        raise ValueError(f"Eb/N0 must be finite, got {param}")
+    if channel == "awgn":
+        try:
+            ok = 0.0 < noise_sigma2(param, rate) < np.inf  # False for NaN
+        except (OverflowError, ZeroDivisionError):  # 10 ** (Eb/N0 / 10) leaves the floats
+            ok = False
+        if not ok:
+            raise ValueError(f"Eb/N0 {param} dB has no finite noise variance > 0 at rate {rate}")
     if channel == "bec" and not 0.0 < param < 1.0:
         raise ValueError("erasure probability must lie in (0, 1)")
 
@@ -92,7 +98,7 @@ def channel_llrs(x, channel: str, param: float, rate: float, rngs) -> np.ndarray
     probability param (erasure probability), else +-inf by the bit; `rate`
     is not used.
     """
-    check_channel(channel, param)
+    check_channel(channel, param, rate)
     x = np.asarray(x, dtype=np.uint8)
     noise = np.empty(x.shape)
     for rng, row in zip(rngs, noise, strict=True):

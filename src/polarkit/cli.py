@@ -156,8 +156,9 @@ def _cmd_cost(args) -> int:
 
 
 def _parse_points(text: str) -> tuple:
-    """Points of a 'start:step:stop' grid (stop included when a step lands
-    on it) or of a comma list; every value must be a finite number."""
+    """Points of a 'start:step:stop' grid or of a comma list; every value
+    must be a finite number. A grid never passes its stop, and includes it
+    when a step reaches it within rounding ('0:0.1:0.3' has 4 points)."""
     parts = text.split(":") if ":" in text else text.split(",")
     try:
         values = [float(v) for v in parts]
@@ -172,12 +173,14 @@ def _parse_points(text: str) -> tuple:
     a, s, b = values
     if s == 0:
         raise ValueError(f"grid step must be nonzero in {text!r}")
-    steps = (b - a) / s  # infinite where b - a overflows
-    if steps < -0.5:
+    # the slack keeps a stop that a step reaches within rounding; infinite
+    # where b - a overflows
+    steps = (b - a) / s + 1e-9
+    if steps < 0:
         raise ValueError(f"grid {text!r} has no point: its step leads away from its stop")
-    if not steps < _MAX_GRID_POINTS - 0.5:
+    if not steps < _MAX_GRID_POINTS:
         raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    return tuple(a + i * s for i in range(round(steps) + 1))
+    return tuple(a + i * s for i in range(int(steps) + 1))
 
 
 def _cmd_simulate(args) -> int:
@@ -262,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--code", required=True)
     c.add_argument("--mode", default="mode4",
                    choices=("mode4", "mode2", "mode1", "mode4_1"))
-    c.add_argument("--snr", help="Eb/N0 grid: 'start:step:stop' or comma list (dB)")
-    c.add_argument("--eps", help="erasure-probability grid for bec codes")
+    grid = ("'start:step:stop' (never past stop; stop included when a step reaches it) "
+            "or comma list; one that starts below 0 needs the '=' form, as in --snr=-1:0.5:1")
+    c.add_argument("--snr", help=f"Eb/N0 grid in dB: {grid}")
+    c.add_argument("--eps", help=f"erasure-probability grid for bec codes: {grid}")
     c.add_argument("--theta", type=int, help="mode4_1 switching point (bit index)")
     c.add_argument("--L", type=int, help="override list size")
     c.add_argument("--q", type=int, help="override per-list expansion width")

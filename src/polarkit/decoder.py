@@ -24,12 +24,13 @@ path each survivor descends from, and its parent node gathers the two arrays
 it still holds (the node's LLRs after the left child, the left child's
 partial sums after the right child) by those indices. The walk carries no
 input bits: the transform is its own inverse, so u is the transform of the
-root's partial sums. Where paths decode alone (list size one, or past the
-mode4_1 switching point) a lean walk takes every path's own best candidate,
-keyed by its penalty alone: no path moves, so it returns partial sums only,
-and a rate-1 leaf is its hard decision. So at list size one 'bitwise' is
-classic SC on any LLRs, and 'fast' differs from it only where the rate-1 and
-repetition shortcuts meet LLRs of zero.
+root's partial sums. One walk serves the list and lone paths; each leaf
+decides which it is. Where paths decode alone (list size one, or a leaf that
+starts at or past the mode4_1 switching point) it takes every path's own
+best candidate, keyed by its penalty alone: no path moves, and a rate-1 leaf
+is its hard decision. So at list size one 'bitwise' is classic SC on any
+LLRs, and 'fast' differs from it only where the rate-1 and repetition
+shortcuts meet LLRs of zero.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -123,18 +124,6 @@ def _sym_of_ve(M: int) -> np.ndarray:
     e = (bits[:, 1::2] * w).sum(axis=1)
     table = np.zeros((1 << h, 1 << h), dtype=np.int64)
     table[v, e] = np.arange(1 << M)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _sym_of_codeword(M: int) -> np.ndarray:
-    """Symbol value from the packed codeword value (transform involution)."""
-    _, cw = _leaf_tables(M)
-    w = 1 << np.arange(M - 1, -1, -1)
-    packed = (cw.astype(np.int64) * w).sum(axis=1)
-    table = np.zeros(1 << M, dtype=np.int64)
-    table[packed] = np.arange(1 << M)
     table.setflags(write=False)
     return table
 
@@ -264,8 +253,8 @@ def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int):
     lead = t1.shape[:-1]
     R = int(np.prod(lead))
     # candidate-major: half-symbol hypotheses on axis 0, (group, row) after
-    t1g = np.ascontiguousarray(t1.reshape(R, -1).T)[plan.group_free.T]  # (F, G, R)
-    t2g = np.ascontiguousarray(t2.reshape(R, -1).T)[plan.group_free.T]
+    t1g = np.ascontiguousarray(t1.reshape(R, t1.shape[-1]).T)[plan.group_free.T]  # (F, G, R)
+    t2g = np.ascontiguousarray(t2.reshape(R, t2.shape[-1]).T)[plan.group_free.T]
     if k < F:
         # per group, the k best of each half table by (penalty, position)
         t1s, o1 = (a.reshape(k, G, R) for a in _first_k(t1g.reshape(F, G * R), k))
@@ -279,7 +268,7 @@ def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int):
     C = G * k * k
     q_eff = min(q, C)
     # candidate order: (penalty, symbol value); symbols are distinct per row
-    pen, sym = _first_k(pen.reshape(C, R), q_eff, sym.reshape(C, -1))
+    pen, sym = _first_k(pen.reshape(C, R), q_eff, sym.reshape(C, sym.shape[-1]))
     return pen.T.reshape(lead + (q_eff,)), sym.T.astype(np.int64).reshape(lead + (q_eff,))
 
 
@@ -352,9 +341,10 @@ def repetition_candidates(alpha):
 
 
 def rate1_candidates(alpha):
-    """(penalties, symbols) for the hard decision and flips of the two least
-    reliable positions (first positions among equal magnitudes); candidate
-    order is the enumeration order."""
+    """(penalties, codewords) for the hard decision and flips of the two
+    least reliable positions (first positions among equal magnitudes), each
+    codeword packed into an integer, first position = MSB; candidate order
+    is the enumeration order."""
     a = np.asarray(alpha, dtype=np.float64)
     lead, M = a.shape[:-1], a.shape[-1]
     aT = a.reshape(-1, M).T  # positions on axis 0
@@ -364,7 +354,7 @@ def rate1_candidates(alpha):
     packed = ((aT < 0) * w[:, None]).sum(axis=0)
     b1, b2 = w[i1], w[i2]
     cw_vals = np.stack([packed, packed ^ b1, packed ^ b2, packed ^ b1 ^ b2])
-    return pens.T.reshape(lead + (4,)), _sym_of_codeword(M)[cw_vals.T].reshape(lead + (4,))
+    return pens.T.reshape(lead + (4,)), cw_vals.T.reshape(lead + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +367,8 @@ class _Leaf:
     kind is RATE0 (fixed penalty, nothing to decide), REPETITION (symbols 0
     and 1; also every single information bit), RATE1 (hard decision plus
     flips) or RATE_R2 (divide-and-conquer expansion over `plan`).
-    `codewords` maps the leaf's symbol values to its codeword.
+    `codewords` maps the values the leaf's candidates carry to its codeword:
+    symbol values, or for RATE1 the packed codewords themselves.
     """
 
     __slots__ = ("start", "span", "kind", "plan", "fallback", "codewords")
@@ -389,6 +380,8 @@ class _Leaf:
         self.codewords = None
         if kind is NodeKind.REPETITION:
             self.codewords = _rep_codewords(span)
+        elif kind is NodeKind.RATE1:
+            self.codewords = _leaf_tables(span)[0]
         elif kind is not NodeKind.RATE0:
             self.codewords = _leaf_tables(span)[1]
 
@@ -438,16 +431,6 @@ def _build_tree(mask_bytes: bytes, schedule: str):
 # Batched list engine
 
 
-def _combine(c_left, c_right):
-    """Partial sums of a branch from those of its children (path axes of
-    length one broadcast)."""
-    B, A, h = c_left.shape[0], max(c_left.shape[1], c_right.shape[1]), c_right.shape[2]
-    c = np.empty((B, A, 2 * h), dtype=np.uint8)
-    c[..., 0::2] = c_left ^ c_right
-    c[..., 1::2] = c_right
-    return c
-
-
 class _ListDecoder:
     """Decodes a batch of frames at one checked operating point (ModeConfig).
 
@@ -474,11 +457,8 @@ class _ListDecoder:
         """List prune to the L first (pm + penalty) candidates over all
         paths; returns (symbols, parent), parent[b, j] being the path that
         survivor j descends from."""
-        B, A = self._pm.shape
-        if pens.shape[1] != A:  # candidates of a path-invariant leaf input
-            pens = np.broadcast_to(pens, (B, A, pens.shape[-1]))
-        syms = np.broadcast_to(syms, pens.shape)
-        parent, sym_sel, self._pm = _top_l(self._pm, pens, syms, self.L)
+        parent, sym_sel, self._pm = _top_l(self._pm, pens, np.broadcast_to(syms, pens.shape),
+                                           self.L)
         return sym_sel, parent
 
     def _pick(self, node: _Leaf, alpha):
@@ -500,37 +480,23 @@ class _ListDecoder:
         self._pm = self._pm + np.take_along_axis(pens, best, -1)[..., 0]
         return node.codewords[np.take_along_axis(syms, best, -1)[..., 0]]
 
-    # -- tree walk -------------------------------------------------------------
-
-    def _rate0(self, node: _Leaf, alpha):
-        self._pm = self._pm + rate0_penalty(alpha)
-        return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8)
-
-    def _walk_alone(self, node, alpha):
-        """`_walk` of a subtree where every path decodes alone: no path
-        moves, so it returns only c. Leaves with a bit-serial fallback take
-        it, which makes the output exactly classic SC."""
-        if isinstance(node, _Branch):
-            even, odd = alpha[..., 0::2], alpha[..., 1::2]
-            c_left = self._walk_alone(node.left, f_llr(even, odd))
-            return _combine(c_left, self._walk_alone(node.right, g_llr(even, odd, c_left)))
-        if node.fallback is not None:
-            return self._walk_alone(node.fallback, alpha)
-        if node.kind is NodeKind.RATE0:
-            return self._rate0(node, alpha)
-        return self._pick(node, alpha)
-
     def _walk(self, node, alpha):
         """Decode the subtree under `node` from its LLRs `alpha`, given in
         the path order at entry. Returns (c, parents): the partial sums of
         the surviving paths, and for each survivor the entry path it
         descends from (None where no prune moved a path). A path axis of
-        length one holds one value for every path; it broadcasts."""
-        if self._alone(node):
-            return self._walk_alone(node, alpha), None
+        length one holds one value for every path; it broadcasts. A leaf
+        where paths decode alone takes its bit-serial fallback if it has
+        one, which makes the output exactly classic SC, and else `_pick`;
+        no path moves there."""
         if isinstance(node, _Leaf):
             if node.kind is NodeKind.RATE0:
-                return self._rate0(node, alpha), None
+                self._pm = self._pm + rate0_penalty(alpha)
+                return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
+            if self._alone(node):
+                if node.fallback is not None:
+                    return self._walk(node.fallback, alpha)
+                return self._pick(node, alpha), None
             if node.kind is NodeKind.REPETITION:
                 pens, syms = repetition_candidates(alpha)
             elif node.kind is NodeKind.RATE1:
@@ -550,7 +516,11 @@ class _ListDecoder:
             if c_left.shape[1] != 1:
                 c_left = c_left[rows, p_right]
             parents = p_right if p_left is None else p_left[rows, p_right]
-        return _combine(c_left, c_right), parents
+        c = np.empty((alpha.shape[0], max(c_left.shape[1], c_right.shape[1]), node.span),
+                     dtype=np.uint8)
+        c[..., 0::2] = c_left ^ c_right
+        c[..., 1::2] = c_right
+        return c, parents
 
     # -- public ----------------------------------------------------------------
 
@@ -584,7 +554,7 @@ class _ListDecoder:
         # np.take keeps rows C-ordered; fancy indexing on the last axis puts
         # the path axis innermost, and the CRC then packs strided bits
         info = np.take(u_all, self.code.info_positions, axis=2)
-        passing = crc_check_rows(info.reshape(B * A, -1), crc).reshape(B, A)
+        passing = crc_check_rows(info.reshape(B * A, info.shape[-1]), crc).reshape(B, A)
         masked = np.where(passing, pm_all, np.inf)
         has = passing.any(axis=1)
         win = np.where(has, masked.argmin(axis=1), pm_all.argmin(axis=1))

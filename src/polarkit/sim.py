@@ -135,7 +135,7 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
     if len(params) == 0:
         raise ValueError("a run needs at least one channel point")
     for param in params:
-        check_channel(channel, param)
+        check_channel(channel, param, code.rate)
     if (0 if crc is None else crc.width) != code.crc_width:
         raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
     cfg.switch_point(code.N)

@@ -81,6 +81,8 @@ def test_channel_param_validation():
             pk.bec_llr(x[0], eps, frame_rng(1, 0))
     with pytest.raises(ValueError):
         pk.awgn_llr(x[0], 2.0, 1.5, frame_rng(1, 0))  # rate outside (0, 1]
+    with pytest.raises(ValueError, match="noise variance"):
+        pk.awgn_llr(x[0], 4000, 0.5, frame_rng(1, 0))  # 10**400 overflows
 
 
 @pytest.mark.parametrize("channel,param", [("awgn", 1.0), ("bec", 0.4)])

@@ -135,11 +135,11 @@ def test_repetition_candidates_example():
 
 def test_rate1_hard_decision_survivor(rng):
     alpha = np.array([[3.0, -1.5, 2.5, -4.0, 0.5, 6.0, -2.0, 1.0]])
-    pens, syms = rate1_candidates(alpha)
+    pens, cws = rate1_candidates(alpha)
     assert pens[0, 0] == 0.0  # pure hard decision first
-    # its symbol re-encodes to the hard decision word
+    # its packed codeword unpacks to the hard decision word
     from polarkit.decoder import _leaf_tables
-    cw = _leaf_tables(8)[1][syms[0, 0]]
+    cw = _leaf_tables(8)[0][cws[0, 0]]
     assert np.array_equal(cw, (alpha[0] < 0).astype(np.uint8))
     assert pens[0, 1] == 0.5 and pens[0, 2] == 1.0 and pens[0, 3] == 1.5
 
@@ -520,6 +520,16 @@ def test_crc_failure_still_returns_word(rng):
     u, pm, ok = decode_frames(code, llrs, L=2, crc=CRC32)
     assert u.shape == (20, 64)
     assert ok.dtype == bool
+
+
+@pytest.mark.parametrize("L", [1, 4])
+@pytest.mark.parametrize("crc", [None, CRC32])
+def test_zero_frame_batch_decodes_to_empty_results(L, crc):
+    code = pk.select_frozen(pk.bec_reliability(6, 0.5), 40, crc_width=0 if crc is None else 32)
+    u, pm, ok = decode_frames(code, np.zeros((0, code.N)), L=L, crc=crc)
+    assert u.shape == (0, code.N) and u.dtype == np.uint8
+    assert pm.shape == (0,)
+    assert ok is None if crc is None else (ok.shape == (0,) and ok.dtype == bool)
 
 
 def test_mode_config_validation():

@@ -19,7 +19,6 @@ from polarkit.channel import BEC_LLR_CLAMP
 from polarkit.decoder import (
     _aml_candidates,
     _expand_plan,
-    _sym_of_codeword,
     aml_expand_prune,
     f_llr,
     g_llr,
@@ -77,7 +76,7 @@ def oracle_rate1_candidates(alpha):
     b1 = np.take_along_axis(np.broadcast_to(w, h.shape), o[..., 0:1], axis=-1)[..., 0]
     b2 = np.take_along_axis(np.broadcast_to(w, h.shape), o[..., 1:2], axis=-1)[..., 0]
     cw_vals = np.stack([packed, packed ^ b1, packed ^ b2, packed ^ b1 ^ b2], axis=-1)
-    return pens, _sym_of_codeword(M)[cw_vals]
+    return pens, cw_vals
 
 
 def oracle_f_llr(a, b):

@@ -41,9 +41,10 @@ _GRID_CODES = [(5, 16, None), (6, 40, _CRC8), (8, 140, _CRC16)]
 _GRID_LQ = [(1, None), (2, 1), (4, 2), (8, 4), (8, None)]
 # re-taken when rate-R-2 leaf penalties were clamped at 0 (rounding had left
 # some at -eps): that moved 57 winner metrics by at most 2e-15 relative, and
-# no decoded word or CRC flag; any other change of this digest is a change
-# of decoded results
-_GRID_SHA256 = "b1aa119159e1b3ca77345e0697610becef164d328a93de576aefe11ae24397d9"
+# no decoded word or CRC flag; re-taken, with the decoder unchanged, when the
+# theta 3N/8 + 5 (inside an eight-bit leaf) joined the grid. Any other change
+# of this digest is a change of decoded results
+_GRID_SHA256 = "241762397d045a83f1a2890daef5b84e67cf0b7675b12c2fd56d98d7486763ab"
 
 
 def _grid_llrs(code, crc, kind, rng):
@@ -65,7 +66,7 @@ def test_pinned_decode_grid():
             llrs = _grid_llrs(code, crc, kind, rng)
             for schedule in ("fast", "dnc", "bitwise"):
                 for L, q in _GRID_LQ:
-                    for theta in (None, 0, code.N // 2):
+                    for theta in (None, 0, code.N // 2, 3 * code.N // 8 + 5):
                         u, pm, ok = pk.decode_frames(code, llrs, L=L, q=q, theta=theta,
                                                      schedule=schedule, crc=crc)
                         digest.update(u.tobytes() + pm.tobytes())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.channel import channel_llrs, default_quantize_step, frame_rng, quantize_llr
-from polarkit.cli import main
+from polarkit.cli import _parse_points, main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
 from polarkit import sim
@@ -363,6 +363,10 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     for snr in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             simulate_point(code, cfg, "awgn", snr)
+    for snr in (4000.0, -3100.0, -4000.0):  # the noise variance leaves the floats
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="noise variance"):
+                simulate_point(code, cfg, "awgn", snr, workers=workers)
     # a sweep checks every point before the first decodes
     with pytest.raises(ValueError, match="erasure"):
         simulate_sweep(code, cfg, "bec", (0.3, 1.5))
@@ -454,6 +458,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "2.0", "--mode", "mode4_1", "--theta", "-5"],
     ["--snr", "2.0", "--mode", "mode4_1", "--theta", "9999"],
     ["--snr", "2.0", "--mode", "mode4_1", "--theta", "9999", "--workers", "2"],
+    ["--snr", "1:0.5:0.9"],
+    ["--snr", "4000"],
+    ["--snr=-3100"],
+    ["--snr=-4000"],
 ])
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
@@ -466,6 +474,18 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     # every bad option fails before the run header
     assert captured.out.splitlines() == []
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("grid,points", [
+    ("0:0.6:1", (0, 0.6)),
+    ("3:-0.7:1", (3, 2.3, 1.6)),
+    ("0:0.1:0.3", (0, 0.1, 0.2, 0.3)),
+    ("2.5:0.1:3.0", (2.5, 2.6, 2.7, 2.8, 2.9, 3.0)),
+    ("1:0.5:2.5", (1, 1.5, 2, 2.5)),
+])
+def test_cli_grid_never_passes_its_stop(grid, points):
+    # the stop is a point only where a step reaches it within rounding
+    assert _parse_points(grid) == pytest.approx(points, abs=1e-12)
 
 
 @pytest.mark.parametrize("grid,message", [
