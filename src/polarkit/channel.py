@@ -75,16 +75,19 @@ def noise_sigma2(ebno_db: float, rate: float) -> float:
 
 def check_channel(channel: str, param: float, rate: float) -> None:
     """Reject an unknown channel, an Eb/N0 whose noise variance at `rate` is
-    not finite and > 0, or an erasure probability outside (0, 1)."""
+    not finite or lies below the smallest normal double (where 2y / sigma^2
+    overflows), or an erasure probability outside (0, 1)."""
     if channel not in ("awgn", "bec"):
         raise ValueError("channel must be 'awgn' or 'bec'")
     if channel == "awgn":
+        tiny = np.finfo(float).tiny
         try:
-            ok = 0.0 < noise_sigma2(param, rate) < np.inf  # False for NaN
+            ok = tiny <= noise_sigma2(param, rate) < np.inf  # False for NaN
         except (OverflowError, ZeroDivisionError):  # 10 ** (Eb/N0 / 10) leaves the floats
             ok = False
         if not ok:
-            raise ValueError(f"Eb/N0 {param} dB has no finite noise variance > 0 at rate {rate}")
+            raise ValueError(f"Eb/N0 {param} dB has no finite noise variance >= {tiny:.4g} "
+                             f"at rate {rate}")
     if channel == "bec" and not 0.0 < param < 1.0:
         raise ValueError("erasure probability must lie in (0, 1)")
 

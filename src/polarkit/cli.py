@@ -34,7 +34,7 @@ from .patterns import (
     TWO_BIT_PATTERNS,
     extract_patterns,
 )
-from .sim import check_run, points_to_csv, points_to_json, simulate_sweep
+from .sim import check_run, default_batch_frames, points_to_csv, points_to_json, simulate_sweep
 
 _CATALOG = {2: TWO_BIT_PATTERNS, 4: FOUR_BIT_PATTERNS, 8: EIGHT_BIT_PATTERNS,
             16: SIXTEEN_BIT_PATTERNS}
@@ -195,18 +195,13 @@ def _cmd_simulate(args) -> int:
     channel = "awgn" if args.snr is not None else "bec"
     points = _parse_points(args.snr if channel == "awgn" else args.eps)
 
-    if args.theta is not None and args.mode != "mode4_1":
-        raise ValueError("--theta applies only to --mode mode4_1")
-    if args.mode == "mode4_1" and args.theta is None:
-        raise ValueError("mode4_1 requires --theta")
-    cfg = ModeConfig.custom(L=ModeConfig._LIST_SIZES[args.mode] if args.L is None else args.L,
-                            q=args.q, theta=args.theta, schedule=args.schedule)
-    cfg.mode = args.mode  # echo the requested label in reports
+    cfg = ModeConfig(args.mode, L=args.L, q=args.q, theta=args.theta, schedule=args.schedule)
 
     if args.quantize_step is not None and args.quantize_bits is None:
         raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
     run = dict(crc=crc, seed=args.seed, target_fe=args.target_fe, max_frames=args.frames,
-               batch_frames=args.batch_frames, workers=args.workers,
+               batch_frames=default_batch_frames(code.N) if args.batch_frames is None
+               else args.batch_frames, workers=args.workers,
                quantize=None if args.quantize_bits is None
                else (args.quantize_bits, args.quantize_step))
     check_run(code, cfg, channel, points, **run)
@@ -218,7 +213,7 @@ def _cmd_simulate(args) -> int:
     Path(args.out + ".csv").write_text(points_to_csv(rows))
     Path(args.out + ".json").write_text(points_to_json(rows, meta={
         "code": str(args.code), "N": code.N, "K": code.K, "crc_width": code.crc_width,
-        "schedule": cfg.schedule, "batch_frames": args.batch_frames,
+        "schedule": cfg.schedule, "batch_frames": run["batch_frames"],
     }))
     print(f"wrote {args.out}.csv and {args.out}.json")
     return 0
@@ -263,16 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("simulate", help="seeded Monte Carlo FER/BER sweep")
     c.add_argument("--code", required=True)
-    c.add_argument("--mode", default="mode4",
-                   choices=("mode4", "mode2", "mode1", "mode4_1"))
+    c.add_argument("--mode", default="mode4", choices=tuple(ModeConfig.LIST_SIZES))
     grid = ("'start:step:stop' (never past stop; stop included when a step reaches it) "
             "or comma list; one that starts below 0 needs the '=' form, as in --snr=-1:0.5:1")
     c.add_argument("--snr", help=f"Eb/N0 grid in dB: {grid}")
     c.add_argument("--eps", help=f"erasure-probability grid for bec codes: {grid}")
     c.add_argument("--theta", type=int, help="mode4_1 switching point (bit index)")
-    c.add_argument("--L", type=int, help="override list size")
+    c.add_argument("--L", type=int,
+                   help="override the mode's list size (the CSV keeps the mode's name)")
     c.add_argument("--q", type=int, help="override per-list expansion width")
-    c.add_argument("--schedule", default="fast", choices=("fast", "dnc", "bitwise"))
+    c.add_argument("--schedule", default="fast", choices=ModeConfig.SCHEDULES)
     c.add_argument("--frames", type=int, default=100_000, help="frame cap per point")
     c.add_argument("--target-fe", type=int, default=100,
                    help="stop a point after this many frame errors (0 = never)")

@@ -393,9 +393,6 @@ class _Branch:
         self.start, self.span, self.left, self.right = start, span, left, right
 
 
-_SCHEDULES = ("fast", "dnc", "bitwise")
-
-
 @lru_cache(maxsize=64)
 def _build_tree(mask_bytes: bytes, schedule: str):
     mask = np.frombuffer(mask_bytes, dtype=np.uint8)
@@ -583,67 +580,71 @@ def decode_frames(code: PolarCode, llrs, *, L: int, q: int | None = None,
 # Operating modes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeConfig:
-    """Decoder operating point: list size L, expansion width q, switching
-    point theta, schedule. Building one checks them all but theta <= N,
-    which needs the code (`switch_point`).
+    """Decoder operating point, checked when built and frozen after: mode,
+    list size L, expansion width q, switching point theta, schedule. Only
+    theta <= N waits for the code (`switch_point`).
 
-    Named modes fix L: mode4 = 4, mode2 = 2, mode1 = 1 (classic SC);
-    mode4_1 runs L = 4 for bits below theta, then each surviving path
-    continues independently (per-path best candidate, no cross-path pruning)
-    and the best final metric wins (CRC-passing preferred). q defaults to
-    min(L, 2^M); 'custom' leaves L free. Only mode4_1 and custom take a
-    theta, which must be >= 0.
+    A named mode presets L (LIST_SIZES; mode1 is classic SC), which an
+    explicit L overrides; 'custom' requires L. mode4_1 runs the list below
+    theta, then each surviving path continues alone (per-path best
+    candidate, no cross-path pruning) and the best final metric wins
+    (CRC-passing preferred). Only mode4_1, which requires one, and custom
+    take a theta, which must be >= 0. q defaults to min(L, 2^M).
     """
 
     mode: str = "mode4"
-    L: int = 4
+    L: int | None = None
     q: int | None = None
     theta: int | None = None
     schedule: str = "fast"
 
-    _LIST_SIZES = {"mode4": 4, "mode2": 2, "mode1": 1, "mode4_1": 4}
+    LIST_SIZES = {"mode4": 4, "mode2": 2, "mode1": 1, "mode4_1": 4}
+    SCHEDULES = ("fast", "dnc", "bitwise")
 
     def __post_init__(self):
-        if self.mode not in (*self._LIST_SIZES, "custom"):
+        if self.mode not in (*self.LIST_SIZES, "custom"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.L is None:
+            if self.mode == "custom":
+                raise ValueError("custom requires a list size L")
+            object.__setattr__(self, "L", self.LIST_SIZES[self.mode])
         if self.L < 1:
             raise ValueError("list size L must be >= 1")
-        if self.mode in self._LIST_SIZES and self.L != self._LIST_SIZES[self.mode]:
-            raise ValueError(f"{self.mode} requires L = {self._LIST_SIZES[self.mode]}")
         if self.mode == "mode4_1" and self.theta is None:
             raise ValueError("mode4_1 requires a switching point theta")
         if self.theta is not None:
-            if self.mode in ("mode4", "mode2", "mode1"):
+            if self.mode not in ("mode4_1", "custom"):
                 raise ValueError(f"{self.mode} takes no theta (mode4_1 and custom do)")
             if self.theta < 0:
                 raise ValueError("theta must be >= 0")
-        self.q = min(self.L, 1 << LEAF_SPAN) if self.q is None else self.q
+        if self.q is None:
+            object.__setattr__(self, "q", min(self.L, 1 << LEAF_SPAN))
         if not 1 <= self.q <= 1 << LEAF_SPAN:
             raise ValueError("q must lie in 1..2^M")
-        if self.schedule not in _SCHEDULES:
-            raise ValueError(f"schedule must be one of {_SCHEDULES}")
+        if self.schedule not in self.SCHEDULES:
+            raise ValueError(f"schedule must be one of {self.SCHEDULES}")
 
     @classmethod
     def mode4(cls, **kw):
-        return cls(mode="mode4", L=4, **kw)
+        return cls("mode4", **kw)
 
     @classmethod
     def mode2(cls, **kw):
-        return cls(mode="mode2", L=2, **kw)
+        return cls("mode2", **kw)
 
     @classmethod
     def mode1(cls, **kw):
-        return cls(mode="mode1", L=1, **kw)
+        return cls("mode1", **kw)
 
     @classmethod
     def mode4_1(cls, theta: int, **kw):
-        return cls(mode="mode4_1", L=4, theta=theta, **kw)
+        return cls("mode4_1", theta=theta, **kw)
 
     @classmethod
     def custom(cls, L: int, q: int | None = None, **kw):
-        return cls(mode="custom", L=L, q=q, **kw)
+        return cls("custom", L=L, q=q, **kw)
 
     def switch_point(self, N: int) -> int:
         """Where paths start to decode alone on a length-N code: theta, or N

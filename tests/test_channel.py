@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,12 @@ def test_channel_param_validation():
         pk.awgn_llr(x[0], 2.0, 1.5, frame_rng(1, 0))  # rate outside (0, 1]
     with pytest.raises(ValueError, match="noise variance"):
         pk.awgn_llr(x[0], 4000, 0.5, frame_rng(1, 0))  # 10**400 overflows
+    with pytest.raises(ValueError, match="noise variance"):
+        pk.awgn_llr(x[0], 3080, 0.5, frame_rng(1, 0))  # subnormal 1e-308: 2y / sigma^2 overflows
+    # the smallest normal variances still give finite LLRs, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(pk.awgn_llr(x[0], 3076, 0.5, frame_rng(1, 0))).all()
 
 
 @pytest.mark.parametrize("channel,param", [("awgn", 1.0), ("bec", 0.4)])

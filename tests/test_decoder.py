@@ -1,3 +1,4 @@
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -533,8 +534,12 @@ def test_zero_frame_batch_decodes_to_empty_results(L, crc):
 
 
 def test_mode_config_validation():
-    with pytest.raises(ValueError):
-        ModeConfig(mode="mode4", L=2)
+    # a named mode presets L, and an explicit L overrides the preset
+    assert ModeConfig(mode="mode4", L=2).L == 2 and ModeConfig(mode="mode4").L == 4
+    with pytest.raises(ValueError, match="custom requires a list size L"):
+        ModeConfig("custom")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ModeConfig.mode1().L = 4
     with pytest.raises(ValueError):
         ModeConfig(mode="mode4_1", L=4)  # theta missing
     with pytest.raises(ValueError):

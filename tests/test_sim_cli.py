@@ -79,13 +79,19 @@ def test_simulate_worker_count_invariance(small_code):
 
 
 class _RecordingPool(ThreadPoolExecutor):
-    """Thread pool standing in for the process pool; records its sizes."""
+    """Thread pool standing in for the process pool; records its sizes and
+    the (start, count) of each chunk submitted to it, in order."""
 
     sizes = []
+    submitted = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
         super().__init__(max_workers=max_workers)
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[-2:])
+        return super().submit(fn, *args)
 
 
 @pytest.fixture
@@ -93,6 +99,7 @@ def thread_pool(monkeypatch):
     """Runs simulate_point's pool on threads; yields the start frames of the
     chunks that ran, in order."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
     started, lock, run = [], threading.Lock(), sim._run_chunk
 
@@ -174,11 +181,11 @@ def test_simulate_early_stop_chunks_follow_the_error_rate(small_code, thread_poo
     assert pt.frame_errors == 0 and pt.frames == 3000
     assert thread_pool == [0, 64, 576, 1088, 1600, 2112, 2624]
     # on two workers the prediction counts the batch still in flight: after
-    # batch 0, 136 errors are 136 frames away, of which 64 are running
-    chunks = _recording_chunks(monkeypatch)
+    # batch 0, 136 errors are 136 frames away, of which 64 are running. Chunks
+    # are sized when submitted; the last one may be cancelled before it runs
     pt = simulate_point(code, cfg, "awgn", -5.0, workers=2, **dict(kw, target_fe=200))
     assert pt.frames == 256
-    assert sorted(chunks) == [(0, 64), (64, 64), (128, 128), (256, 64)]
+    assert _RecordingPool.submitted == [(0, 64), (64, 64), (128, 128), (256, 64)]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -462,6 +469,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "4000"],
     ["--snr=-3100"],
     ["--snr=-4000"],
+    ["--snr", "3080"],
 ])
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
@@ -511,7 +519,16 @@ def test_cli_simulate_theta_outside_mode4_1_exits_2(mode, tmp_path, small_code, 
     assert main(["simulate", "--code", str(codefile), "--mode", mode, "--theta", "5",
                  "--snr", "2.0", "--frames", "64", "--out", str(tmp_path / "th")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: --theta applies only to --mode mode4_1"]
+    assert err == [f"error: {mode} takes no theta (mode4_1 and custom do)"]
+    assert not (tmp_path / "th.csv").exists()
+
+
+def test_cli_simulate_mode4_1_without_theta_exits_2(tmp_path, small_code, capsys):
+    _, codefile = small_code
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode4_1",
+                 "--snr", "2.0", "--frames", "64", "--out", str(tmp_path / "th")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: mode4_1 requires a switching point theta"]
     assert not (tmp_path / "th.csv").exists()
 
 
@@ -661,4 +678,15 @@ def test_cli_simulate_mode4_1_and_overrides(tmp_path, small_code):
                "--out", str(tmp_path / "l8")])
     assert rv == 0
     row = (tmp_path / "l8.csv").read_text().strip().splitlines()[1].split(",")
-    assert row[3] == "8" and row[4] == "2"
+    assert row[2:5] == ["mode4", "8", "2"]  # an explicit L keeps the mode's name
+
+
+@pytest.mark.parametrize("batch,recorded", [([], 128), (["--batch-frames", "64"], 64)])
+def test_cli_simulate_json_records_the_batch_size(batch, recorded, tmp_path, small_code):
+    # without --batch-frames the run uses default_batch_frames(256) = 128
+    _, codefile = small_code
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode1", "--snr", "3.0",
+                 "--frames", "128", "--target-fe", "0", *batch,
+                 "--out", str(tmp_path / "b")]) == 0
+    doc = json.loads((tmp_path / "b.json").read_text())
+    assert doc["meta"]["batch_frames"] == recorded
