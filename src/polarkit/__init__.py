@@ -6,7 +6,6 @@ from .core import (
     Construction,
     CrcSpec,
     PolarCode,
-    assemble_input,
     bit_reverse_permute,
     crc_append,
     encode,
@@ -18,7 +17,6 @@ from .construction import (
     design_mean_llr,
     ga_reliability,
     load_code_file,
-    mean_llr_from_snr,
     save_code_file,
     select_frozen,
     tau,

@@ -159,13 +159,16 @@ def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
     check_quantizer(bits, step)
     llr = np.asarray(llr, dtype=np.float64)
     lim = float((1 << (bits - 1)) - 1)
-    return np.clip(np.rint(llr / step), -lim, lim) * step
+    # a ratio that overflows is +-inf, which the clip saturates like any other
+    with np.errstate(over="ignore"):
+        return np.clip(np.rint(llr / step), -lim, lim) * step
 
 
 def check_quantizer(bits: int, step: float | None) -> None:
-    """Reject a quantizer of fewer than two bits or with a step that is not
-    > 0; a step of None stands for default_quantize_step, which is > 0."""
-    if bits < 2:
-        raise ValueError("quantizer bits must be >= 2")
-    if step is not None and not step > 0:
-        raise ValueError("quantizer step must be > 0")
+    """Reject a quantizer of bits outside 2..1024 (past 1024 bits its limit
+    2**(bits-1) - 1 is no double) or with a step that is not a finite number
+    > 0; a step of None stands for default_quantize_step, which is one."""
+    if not 2 <= bits <= 1024:
+        raise ValueError("quantizer bits must lie in 2..1024")
+    if step is not None and not 0 < step < np.inf:
+        raise ValueError("quantizer step must be a finite number > 0")

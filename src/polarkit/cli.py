@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
@@ -27,17 +28,8 @@ from .construction import (
 from .core import CRC32, _log2_exact
 from .costs import METHODS, count_ops
 from .decoder import ModeConfig
-from .patterns import (
-    EIGHT_BIT_PATTERNS,
-    FOUR_BIT_PATTERNS,
-    SIXTEEN_BIT_PATTERNS,
-    TWO_BIT_PATTERNS,
-    extract_patterns,
-)
+from .patterns import CATALOGS, extract_patterns
 from .sim import check_run, default_batch_frames, points_to_csv, points_to_json, simulate_sweep
-
-_CATALOG = {2: TWO_BIT_PATTERNS, 4: FOUR_BIT_PATTERNS, 8: EIGHT_BIT_PATTERNS,
-            16: SIXTEEN_BIT_PATTERNS}
 
 # Most points a 'start:step:stop' grid may have; checked before any is built.
 _MAX_GRID_POINTS = 10_000
@@ -55,7 +47,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse an output that cannot be written before a command does any
+    work or prints: its directory must exist and be writable, and the path
+    must not be a directory. Empty and None paths are outputs not asked for."""
+    for path in (Path(p) for p in paths if p):
+        if not path.parent.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
+            raise ValueError(f"cannot write {path}: {path.parent} is not a writable directory")
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_construct(args) -> int:
+    _check_outputs(args.out)
     n = _log2_exact(args.n)
     if args.n > _MAX_CONSTRUCT_N:
         raise ValueError(f"N must be at most {_MAX_CONSTRUCT_N} (2**20), got {args.n}")
@@ -79,11 +83,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_patterns(args) -> int:
+    _check_outputs(args.json)
     code = load_code_file(args.code)
     report = {"code": str(args.code), "N": code.N, "K": code.K, "census": {}}
     for M in args.m:
         _, census = extract_patterns(code, M)
-        known = set(_CATALOG[M])
+        known = set(CATALOGS[M])
         unknown = sorted(census - known)
         report["census"][str(M)] = {
             "distinct": len(census),
@@ -112,6 +117,7 @@ def _exact(option: str, text: str) -> Fraction:
 
 
 def _cmd_verify_prop1(args) -> int:
+    _check_outputs(args.json)
     start = _exact("--eps-start", args.eps_start)
     stop = _exact("--eps-stop", args.eps_stop)
     step = _exact("--eps-step", args.eps_step)
@@ -148,6 +154,7 @@ def _cmd_verify_prop1(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    _check_outputs(args.json)
     rep = count_ops(args.method, args.m, args.q)
     print(rep.describe())
     if args.json:
@@ -184,6 +191,7 @@ def _parse_points(text: str) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
+    _check_outputs(args.out + ".csv", args.out + ".json")
     code = load_code_file(args.code)
     crc = None
     if code.crc_width:

@@ -100,15 +100,13 @@ def tau_inverse(y):
 class ReliabilityTable:
     """Per-level reliability values z[i][j] for 0 <= i <= n, 0 <= j < 2^i.
 
-    ordering_sense records which direction is *less* reliable: 'larger-z' for
-    the erasure recursion, 'smaller-z' for the mean-LLR recursion.
-    """
+    Larger z is less reliable for the erasure recursion ('bec') and more
+    reliable for the mean-LLR recursion ('awgn-ga')."""
 
     channel: str  # "bec" | "awgn-ga"
     param: float
     n: int
     z: list  # z[i]: float array of length 2**i
-    ordering_sense: str
     _order_keys: tuple | None = None  # backing arrays for exact-order sorting
 
     def frozen_order(self) -> np.ndarray:
@@ -145,7 +143,7 @@ def bec_reliability(n: int, eps: float) -> ReliabilityTable:
         lz.append(nlz)
         lb.append(nlb)
     zlin = [np.exp(a) for a in lz]
-    return ReliabilityTable("bec", eps, n, zlin, "larger-z", (lz[n], lb[n]))
+    return ReliabilityTable("bec", eps, n, zlin, (lz[n], lb[n]))
 
 
 def ga_reliability(n: int, z0: float) -> ReliabilityTable:
@@ -166,14 +164,7 @@ def ga_reliability(n: int, z0: float) -> ReliabilityTable:
         nxt = np.empty(2 * len(z))
         nxt[0::2], nxt[1::2] = worse, better
         levels.append(nxt)
-    return ReliabilityTable("awgn-ga", z0, n, levels, "smaller-z")
-
-
-def mean_llr_from_snr(ebno_db: float, rate: float) -> float:
-    """Channel LLR mean 2/sigma^2 for BPSK at the given Eb/N0 and code rate."""
-    if not 0.0 < rate <= 1.0:
-        raise ValueError("rate must lie in (0, 1]")
-    return 4.0 * rate * 10.0 ** (ebno_db / 10.0)
+    return ReliabilityTable("awgn-ga", z0, n, levels)
 
 
 def design_mean_llr(design_snr_db: float) -> float:

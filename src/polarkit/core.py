@@ -136,24 +136,16 @@ class PolarCode:
         return self.K / self.N
 
 
-def encode(code: PolarCode, u) -> Bits:
-    """Encode a full length-N input word (frozen positions must be zero)."""
-    u = as_bits(u)
-    if len(u) != code.N:
-        raise ValueError(f"input length {len(u)} != code length {code.N}")
-    if np.any(u & code.frozen_mask):
-        raise ValueError("nonzero bit at a frozen position")
+def encode(code: PolarCode, info) -> Bits:
+    """Codeword of K info bits, or of each row of a (rows, K) bit matrix:
+    the info bits fill the non-frozen positions in ascending order, and the
+    frozen positions are zero."""
+    info = np.asarray(info, dtype=np.uint8)
+    if info.ndim not in (1, 2) or info.shape[-1] != code.K or info.max(initial=0) > 1:
+        raise ValueError(f"info must be {code.K} bits, or a matrix of {code.K}-bit rows")
+    u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.uint8)
+    u[..., code.info_positions] = info
     return polar_transform(u)
-
-
-def assemble_input(code: PolarCode, info) -> Bits:
-    """Place K info bits (ascending) into a length-N word, frozen bits zero."""
-    info = as_bits(info)
-    if len(info) != code.K:
-        raise ValueError(f"expected {code.K} info bits, got {len(info)}")
-    u = np.zeros(code.N, dtype=np.uint8)
-    u[code.info_positions] = info
-    return u
 
 
 # ---------------------------------------------------------------------------

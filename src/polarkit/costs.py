@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .patterns import EIGHT_BIT_PATTERNS, RATE_R2_PATTERNS, SIXTEEN_BIT_PATTERNS, FrozenPattern
+from .patterns import CATALOGS, RATE_R2_PATTERNS, FrozenPattern
 
 METHODS = ("rcc", "dmm", "drh", "dnc81", "dnc9", "lcaml")
 
@@ -74,15 +74,8 @@ def _beta_gamma_universe(method: str, M: int):
     pairs = M // 2
     if method == "dnc81":
         return [(b, g) for b in range(pairs + 1) for g in range(pairs + 1 - b)]
-    if method == "dnc9":
-        catalog = {8: EIGHT_BIT_PATTERNS, 16: SIXTEEN_BIT_PATTERNS}[M]
-    else:  # lcaml
-        catalog = RATE_R2_PATTERNS
-    out = []
-    for s in catalog:
-        fp = FrozenPattern.from_string(s)
-        out.append((fp.beta, fp.gamma))
-    return out
+    catalog = CATALOGS[M] if method == "dnc9" else RATE_R2_PATTERNS  # lcaml
+    return [(fp.beta, fp.gamma) for fp in map(FrozenPattern.from_string, catalog)]
 
 
 def _sorter_units(frm: int, to: int) -> int:
@@ -110,29 +103,33 @@ def count_ops(method: str, M: int, q: int) -> CostReport:
             mult = (M // 2) * 4 + (1 << M) * (M // 2 - 1)
         return CostReport(method, M, q, mult, (((1 << M), q, 1),))
 
+    costs = [_dnc_cost(method, M, q, b, g) for b, g in _beta_gamma_universe(method, M)]
+    worst = max(costs, key=lambda c: c.step2_multiplications)
+    # Step 3 is one sort of the Step-2 sums; Step 1 sorts come 2^(beta+1) at a time
+    sorts = [s for s in worst.sorts if s[2] == 1]
+    stage1 = [s for c in costs for s in c.sorts if s[2] > 1]
+    if stage1:
+        sorts.append(max(stage1, key=lambda s: (_sorter_units(s[0], s[1]) * s[2], s[0])))
+    return CostReport(method, M, q, worst.multiplications, tuple(sorts),
+                      step0_multiplications=worst.step0_multiplications,
+                      step2_multiplications=worst.step2_multiplications)
+
+
+def _dnc_cost(label: str, M: int, q: int, beta: int, gamma: int) -> CostReport:
+    """Per-list cost of the divide-and-conquer unit on a pattern with beta
+    FD-pairs and gamma DD-pairs."""
+    k = min(q, 1 << gamma)
     step0 = 2 * _table_cost(M // 2)
-    universe = _beta_gamma_universe(method, M)
-    step2 = max(min(q, 1 << g) ** 2 * (1 << b) for b, g in universe)
+    step2 = k * k << beta
     sorts = []
     if step2 > q:
         sorts.append((step2, q, 1))
-    stage1 = [(1 << g, min(q, 1 << g), 2 << b) for b, g in universe if (1 << g) > q]
-    if stage1:
-        frm, to, cnt = max(stage1, key=lambda s: (_sorter_units(s[0], s[1]) * s[2], s[0]))
-        sorts.append((frm, to, cnt))
-    return CostReport(method, M, q, step0 + step2, tuple(sorts),
+    if (1 << gamma) > q:
+        sorts.append((1 << gamma, k, 2 << beta))
+    return CostReport(label, M, q, step0 + step2, tuple(sorts),
                       step0_multiplications=step0, step2_multiplications=step2)
 
 
 def pattern_cost(pattern: FrozenPattern, q: int) -> CostReport:
     """Per-list cost of the divide-and-conquer unit on one specific pattern."""
-    k = min(q, 1 << pattern.gamma)
-    step0 = 2 * _table_cost(pattern.M // 2)
-    step2 = k * k * (1 << pattern.beta)
-    sorts = []
-    if step2 > q:
-        sorts.append((step2, q, 1))
-    if (1 << pattern.gamma) > q:
-        sorts.append(((1 << pattern.gamma), k, 2 << pattern.beta))
-    return CostReport(f"dnc[{pattern.string}]", pattern.M, q, step0 + step2, tuple(sorts),
-                      step0_multiplications=step0, step2_multiplications=step2)
+    return _dnc_cost(f"dnc[{pattern.string}]", pattern.M, q, pattern.beta, pattern.gamma)

@@ -54,16 +54,9 @@ from .patterns import FrozenPattern, NodeKind, classify_node, pattern_plan
 LEAF_SPAN = 8
 
 __all__ = [
-    "LEAF_SPAN", "ModeConfig", "decode_frames",
-    "f_llr", "g_llr", "hard_decision",
-    "leaf_metrics_rcc", "aml_expand_prune", "classify_node",
-    "rate0_penalty", "rate1_candidates", "repetition_candidates",
+    "LEAF_SPAN", "ModeConfig", "decode_frames", "f_llr", "g_llr", "leaf_metrics_rcc",
+    "aml_expand_prune", "rate0_penalty", "rate1_candidates", "repetition_candidates",
 ]
-
-
-def hard_decision(llr):
-    """0 for llr >= 0, else 1."""
-    return (np.asarray(llr) < 0).astype(np.uint8)
 
 
 def f_llr(a, b):

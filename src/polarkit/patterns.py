@@ -37,19 +37,10 @@ FREEZE_ORDER = {
 }
 
 
-def _prefix_patterns(M: int) -> tuple[str, ...]:
-    order = FREEZE_ORDER[M]
-    out = []
-    for k in range(M + 1):
-        frozen = set(order[:k])
-        out.append("".join("F" if i in frozen else "D" for i in range(1, M + 1)))
-    return tuple(out)
-
-
-TWO_BIT_PATTERNS = _prefix_patterns(2)
-FOUR_BIT_PATTERNS = _prefix_patterns(4)
-EIGHT_BIT_PATTERNS = _prefix_patterns(8)
-SIXTEEN_BIT_PATTERNS = _prefix_patterns(16)
+# The catalog of each symbol width M, {M: patterns}: the M + 1 prefixes of its freeze order.
+CATALOGS = {M: tuple("".join("F" if i in order[:k] else "D" for i in range(1, M + 1))
+                     for k in range(M + 1)) for M, order in FREEZE_ORDER.items()}
+TWO_BIT_PATTERNS, FOUR_BIT_PATTERNS, EIGHT_BIT_PATTERNS, SIXTEEN_BIT_PATTERNS = CATALOGS.values()
 
 RATE_R2_PATTERNS = (
     "FDDDDDDD",

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-import numpy as np
-
 from .channel import (
     check_channel,
     check_quantizer,
@@ -49,7 +47,7 @@ from .channel import (
     noise_to_llrs,
     quantize_llr,
 )
-from .core import CrcSpec, PolarCode, crc_append, polar_transform
+from .core import CrcSpec, PolarCode, crc_append, encode
 from .decoder import ModeConfig, decode_frames
 
 CSV_HEADER = "snr_db,eps,mode,L,q,theta,frames,bit_errors,frame_errors,ber,fer,seed"
@@ -107,9 +105,7 @@ def _build_frames(code: PolarCode, crc: CrcSpec | None, channel: str, param: flo
     """
     payloads, noise = draw_frames(seed, start, count, code.payload_bits, channel, code.N)
     infos = payloads if crc is None else crc_append(payloads, crc)
-    u = np.zeros((count, code.N), dtype=np.uint8)
-    u[:, code.info_positions] = infos
-    llrs = noise_to_llrs(noise, polar_transform(u), channel, param, code.rate)
+    llrs = noise_to_llrs(noise, encode(code, infos), channel, param, code.rate)
     if quant is not None:
         llrs = quantize_llr(llrs, *quant)
     return infos, llrs

@@ -15,9 +15,7 @@ def make_noisy_frames(code, count, ebno_db, rng, crc=None):
     payload_len = K - (crc.width if crc is not None else 0)
     payloads = rng.integers(0, 2, size=(count, payload_len), dtype=np.uint8)
     infos = pk.crc_append(payloads, crc) if crc is not None else payloads
-    u = np.zeros((count, N), dtype=np.uint8)
-    u[:, code.info_positions] = infos
-    x = pk.polar_transform(u)
+    x = pk.encode(code, infos)
     s2 = noise_sigma2(ebno_db, K / N)
     y = (1.0 - 2.0 * x.astype(np.float64)) + np.sqrt(s2) * rng.standard_normal((count, N))
     return infos, 2.0 * y / s2

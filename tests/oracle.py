@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PolarCode
-from .patterns import FrozenPattern
+from polarkit.core import PolarCode
+from polarkit.patterns import FrozenPattern
 
 _MATRIX_CAP = 4096
 _ML_CAP = 20
@@ -48,7 +48,8 @@ def matrix_encode(u) -> np.ndarray:
     return x[0] if u.ndim == 1 else x
 
 
-def _hard(llr):
+def hard_decision(llr):
+    """0 for llr >= 0, else 1 (an LLR of exactly 0 decides 0)."""
     return (np.asarray(llr) < 0).astype(np.uint8)
 
 
@@ -58,7 +59,7 @@ def _mismatch_penalty(llr, codewords) -> np.ndarray:
     llr: (..., M); codewords: (S, M). Returns (..., S).
     """
     llr = np.asarray(llr, dtype=np.float64)
-    mism = codewords[None, :, :] != _hard(llr).reshape(-1, 1, llr.shape[-1])
+    mism = codewords[None, :, :] != hard_decision(llr).reshape(-1, 1, llr.shape[-1])
     pen = (np.abs(llr).reshape(-1, 1, llr.shape[-1]) * mism).sum(axis=2)
     return pen.reshape(llr.shape[:-1] + (codewords.shape[0],))
 
@@ -121,7 +122,7 @@ def exhaustive_ml(code: PolarCode, llrs) -> np.ndarray:
         u = np.zeros((len(vals), code.N), dtype=np.uint8)
         u[:, info_pos] = (vals[:, None] >> np.arange(code.K - 1, -1, -1)) & 1
         x = matrix_encode(u)
-        mism = x[None, :, :] != _hard(llrs)[:, None, :]
+        mism = x[None, :, :] != hard_decision(llrs)[:, None, :]
         pen = (np.abs(llrs)[:, None, :] * mism).sum(axis=2)
         idx = pen.argmin(axis=1)
         upd = pen[np.arange(len(llrs)), idx] < best_pen

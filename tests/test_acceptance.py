@@ -1,8 +1,9 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS line with its measured evidence (run with -s to watch).
 
-Criterion 7 is the multi-hour error-rate study and is marked 'heavy'
-(excluded by the default pytest options; run `pytest -m heavy` for it).
+Criterion 7 is the error-rate study (24 min 18 s on two workers, measured
+once) and is marked 'heavy' (excluded by the default pytest options; run
+`pytest -m heavy` for it).
 Criteria 2 and 8 take a few minutes and are marked 'slow' but stay in the
 default run.
 """
@@ -19,19 +20,11 @@ from polarkit.construction import design_mean_llr, verify_reliability_ordering
 from polarkit.core import CRC32
 from polarkit.costs import count_ops
 from polarkit.decoder import ModeConfig, aml_expand_prune, decode_frames
-from polarkit.oracle import bruteforce_symbol_topL, exhaustive_ml, plain_sc
-from polarkit.patterns import (
-    EIGHT_BIT_PATTERNS,
-    FOUR_BIT_PATTERNS,
-    RATE_R2_PATTERNS,
-    SIXTEEN_BIT_PATTERNS,
-    TWO_BIT_PATTERNS,
-    FrozenPattern,
-    census_over_all_k,
-)
+from polarkit.patterns import CATALOGS, RATE_R2_PATTERNS, FrozenPattern, census_over_all_k
 from polarkit.sim import simulate_point
 
 from conftest import make_noisy_frames
+from oracle import bruteforce_symbol_topL, exhaustive_ml, plain_sc
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -66,8 +59,7 @@ def test_criterion_1_operation_counts():
 
 @pytest.mark.slow
 def test_criterion_2_pattern_census():
-    catalogs = {2: set(TWO_BIT_PATTERNS), 4: set(FOUR_BIT_PATTERNS),
-                8: set(EIGHT_BIT_PATTERNS), 16: set(SIXTEEN_BIT_PATTERNS)}
+    catalogs = {M: set(catalog) for M, catalog in CATALOGS.items()}
     seen = {M: set() for M in catalogs}
     codes = 0
     for n in range(6, 13):  # N = 64 .. 4096

@@ -72,6 +72,24 @@ def test_quantize_validation():
         quantize_llr([1.0], bits=1, step=0.5)
     with pytest.raises(ValueError):
         quantize_llr([1.0], bits=5, step=0.0)
+    # past 1024 bits the limit 2**(bits-1) - 1 is no double; an infinite step
+    # would turn 0 * inf into NaN
+    for bits, step, message in ((1025, 0.5, "bits must lie in 2..1024"),
+                                (5, np.inf, "step must be a finite number > 0"),
+                                (5, np.nan, "step must be a finite number > 0")):
+        with pytest.raises(ValueError, match=message):
+            quantize_llr([1.0], bits=bits, step=step)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quantize_saturates_an_overflowing_ratio_without_a_warning():
+    # llr / step overflows to +-inf under a subnormal step, and an infinite
+    # LLR meets the widest quantizer's limit; the clip saturates both
+    step = 1e-320
+    got = quantize_llr([-3.0, 0.0, 2.5, 1e300, np.inf, -np.inf], 4, step)
+    assert np.array_equal(got, np.array([-7.0, 0.0, 7.0, 7.0, 7.0, -7.0]) * step)
+    assert np.array_equal(quantize_llr([np.inf, -np.inf, 1.0], 1024, 4.0),
+                          [np.inf, -np.inf, 0.0])
 
 
 def test_channel_param_validation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
+from polarkit.channel import noise_sigma2
 from polarkit.construction import ORDER_16, design_mean_llr, log_tau, verify_reliability_ordering
 
 
@@ -76,7 +77,7 @@ def test_ga_rejects_z0_that_is_not_finite_and_positive():
 
 
 def test_ga_deep_levels_stay_ordered_and_finite():
-    z0 = pk.mean_llr_from_snr(4.0, 0.8)
+    z0 = 2 / noise_sigma2(4.0, 0.8)  # the channel LLR mean
     t = pk.ga_reliability(13, z0)
     top = t.z[13]
     assert np.all(np.isfinite(top)) and np.all(top > 0)

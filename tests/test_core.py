@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.core import CRC32, CrcSpec, crc_check_rows, crc_remainder_rows
-from polarkit.oracle import matrix_encode
+
+from oracle import matrix_encode
 
 
 def test_encode_tiny_hand_values():
@@ -17,13 +18,27 @@ def test_encode_tiny_hand_values():
 
 
 def test_encode_validates_frozen_positions():
+    # encode takes the K info bits, so no input can set a frozen position: a
+    # full N-bit word, another length or a non-bit value is refused
     code = pk.select_frozen(pk.bec_reliability(2, 0.5), 2)
     u = np.zeros(4, dtype=np.uint8)
     u[np.flatnonzero(code.frozen_mask)[0]] = 1
-    with pytest.raises(ValueError):
-        pk.encode(code, u)
-    with pytest.raises(ValueError):
-        pk.encode(code, [0, 1])
+    for bad in (u, [0, 1, 1], [1], [0, 2], [[[0, 1]]]):
+        with pytest.raises(ValueError):
+            pk.encode(code, bad)
+    for info in ([0, 1], [1, 0], [1, 1]):
+        word = pk.polar_transform(pk.encode(code, info))  # the transform is an involution
+        assert np.array_equal(word[code.info_positions], info)
+        assert not word[code.frozen_mask == 1].any()
+
+
+def test_encode_rows_match_vectors(rng):
+    code = pk.select_frozen(pk.bec_reliability(6, 0.4), 29)
+    info = rng.integers(0, 2, (5, code.K), dtype=np.uint8)
+    got = pk.encode(code, info)
+    assert got.shape == (5, code.N)
+    assert np.array_equal(got, np.stack([pk.encode(code, row) for row in info]))
+    assert pk.encode(code, info[:0]).shape == (0, code.N)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,16 +18,15 @@ from polarkit.decoder import (
     decode_frames,
     f_llr,
     g_llr,
-    hard_decision,
     leaf_metrics_rcc,
     rate0_penalty,
     rate1_candidates,
     repetition_candidates,
 )
-from polarkit.oracle import bruteforce_symbol_topL, exhaustive_ml, plain_sc, valid_symbols
 from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern, NodeKind
 
 from conftest import make_noisy_frames
+from oracle import bruteforce_symbol_topL, exhaustive_ml, matrix_encode, plain_sc, valid_symbols
 
 
 def test_f_g_hand_values():
@@ -35,7 +34,7 @@ def test_f_g_hand_values():
     assert f_llr(0.0, 5.0) == 0.0
     assert g_llr(2.0, -3.0, 0) == -1.0
     assert g_llr(2.0, -3.0, 1) == -5.0
-    assert hard_decision(0.0) == 0
+    assert rate1_candidates(np.zeros((1, 8)))[1][0, 0] == 0  # hard(0) = 0
 
 
 def test_rcc_metrics_all_positive_llrs():
@@ -46,7 +45,6 @@ def test_rcc_metrics_all_positive_llrs():
 
 def test_rcc_metrics_match_bruteforce(rng):
     # each table entry equals the mismatch sum of the sub-symbol's codeword
-    from polarkit.oracle import matrix_encode
     nib_bits = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
     cw4 = matrix_encode(nib_bits)
     for _ in range(200):
@@ -184,8 +182,9 @@ def _decode_kw(config, N):
 
 def test_noiseless_decode_every_mode(rng):
     code = _random_code(rng)
-    u = pk.assemble_input(code, rng.integers(0, 2, code.K, dtype=np.uint8))
-    llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 25
+    u = np.zeros(code.N, dtype=np.uint8)
+    u[code.info_positions] = rng.integers(0, 2, code.K)
+    llr = (1.0 - 2.0 * pk.encode(code, u[code.info_positions]).astype(float)) * 25
     for cfg in (ModeConfig.mode4(), ModeConfig.mode2(), ModeConfig.mode1(),
                 ModeConfig.mode4_1(theta=32), ModeConfig.custom(L=8)):
         u_hat, _, _ = _decode(code, llr[None, :], cfg)
@@ -194,8 +193,9 @@ def test_noiseless_decode_every_mode(rng):
 
 def test_noiseless_decode_bec_llrs(rng):
     code = _random_code(rng)
-    u = pk.assemble_input(code, rng.integers(0, 2, code.K, dtype=np.uint8))
-    x = pk.encode(code, u)
+    u = np.zeros(code.N, dtype=np.uint8)
+    u[code.info_positions] = rng.integers(0, 2, code.K)
+    x = pk.encode(code, u[code.info_positions])
     llr = np.where(x == 0, np.inf, -np.inf)  # erasure-free channel word
     u_hat, _, _ = _decode(code, llr[None, :], ModeConfig.mode4())
     assert np.array_equal(u_hat[0], u)
@@ -609,7 +609,8 @@ def test_tiny_codes_decode(rng):
     # N < 8 falls back to bitwise leaves automatically
     for n, K in ((1, 1), (2, 2)):
         code = pk.select_frozen(pk.bec_reliability(n, 0.5), K)
-        u = pk.assemble_input(code, rng.integers(0, 2, K, dtype=np.uint8))
-        llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 9
+        u = np.zeros(code.N, dtype=np.uint8)
+        u[code.info_positions] = rng.integers(0, 2, K)
+        llr = (1.0 - 2.0 * pk.encode(code, u[code.info_positions]).astype(float)) * 9
         u_hat, _, _ = decode_frames(code, llr[None, :], L=2)
         assert np.array_equal(u_hat[0], u)

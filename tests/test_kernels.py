@@ -22,13 +22,13 @@ from polarkit.decoder import (
     aml_expand_prune,
     f_llr,
     g_llr,
-    hard_decision,
     leaf_metrics_rcc,
     rate1_candidates,
 )
 from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern
 
 from conftest import make_noisy_frames
+from oracle import hard_decision
 
 LLR_KINDS = ("gaussian", "integer", "zero", "huge", "inf")
 Q_VALUES = (1, 2, 4, 8, 32)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import polarkit as pk
-from polarkit.oracle import (
+from polarkit.patterns import FrozenPattern
+
+from conftest import make_noisy_frames
+from oracle import (
     bruteforce_symbol_topL,
     exhaustive_ml,
     generator_matrix,
@@ -10,9 +13,6 @@ from polarkit.oracle import (
     plain_sc,
     valid_symbols,
 )
-from polarkit.patterns import FrozenPattern
-
-from conftest import make_noisy_frames
 
 
 def test_generator_structure():
@@ -50,7 +50,7 @@ def test_exhaustive_ml_noiseless(rng):
     code = pk.select_frozen(pk.bec_reliability(4, 0.5), 8)
     u = np.zeros(16, dtype=np.uint8)
     u[code.info_positions] = rng.integers(0, 2, 8)
-    llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 10
+    llr = (1.0 - 2.0 * pk.encode(code, u[code.info_positions]).astype(float)) * 10
     assert np.array_equal(exhaustive_ml(code, llr), u)
 
 
@@ -58,7 +58,7 @@ def test_exhaustive_ml_repetition_like(rng):
     # N=8, K=1: two codewords; the decision is the sign of the relevant LLR sum
     t = pk.bec_reliability(3, 0.5)
     code = pk.select_frozen(t, 1)
-    cw1 = pk.encode(code, pk.assemble_input(code, [1]))
+    cw1 = pk.encode(code, [1])
     for _ in range(50):
         llr = rng.standard_normal(8) * 2
         want = 1 if llr[cw1 == 1].sum() < 0 else 0
@@ -70,7 +70,7 @@ def test_plain_sc_noiseless_and_frozen(rng):
     code = pk.select_frozen(pk.bec_reliability(5, 0.5), 16)
     u = np.zeros(32, dtype=np.uint8)
     u[code.info_positions] = rng.integers(0, 2, 16)
-    llr = (1.0 - 2.0 * pk.encode(code, u).astype(float)) * 8
+    llr = (1.0 - 2.0 * pk.encode(code, u[code.info_positions]).astype(float)) * 8
     got = plain_sc(code, llr)
     assert np.array_equal(got, u)
     noisy = plain_sc(code, rng.standard_normal((20, 32)))

@@ -284,9 +284,7 @@ def test_build_frames_matches_per_frame_streams(channel, param, quant, with_crc,
     payloads = np.stack([r.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
                          for r in rngs])
     infos = payloads if crc is None else pk.crc_append(payloads, crc)
-    u = np.zeros((count, code.N), dtype=np.uint8)
-    u[:, code.info_positions] = infos
-    llrs = channel_llrs(pk.polar_transform(u), channel, param, code.rate, rngs)
+    llrs = channel_llrs(pk.encode(code, infos), channel, param, code.rate, rngs)
     if quant is not None:
         llrs = quantize_llr(llrs, *quant)
     got_infos, got_llrs = sim._build_frames(code, crc, channel, param, seed, start, count,
@@ -356,7 +354,8 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
     for workers in (1, 2):
         with pytest.raises(ValueError, match="theta"):
             simulate_point(code, ModeConfig.mode4_1(code.N + 1), "awgn", 2.0, workers=workers)
-    for quantize in ((0, 0.5), (1, 0.5), (4, 0.0), (4, -0.5), (4, math.nan)):
+    for quantize in ((0, 0.5), (1, 0.5), (4, 0.0), (4, -0.5), (4, math.nan), (1100, None),
+                     (1025, 0.5), (4, math.inf)):
         for workers in (1, 2):
             with pytest.raises(ValueError, match="quantizer"):
                 simulate_point(code, cfg, "awgn", 2.0, quantize=quantize, workers=workers)
@@ -438,6 +437,38 @@ def test_cli_usage_errors(tmp_path, capsys):
                  "--snr", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--channel", "bec", "--n", "64", "--k", "32", "--param", "0.5",
+     "--out", "{missing}/c.json"],
+    ["construct", "--channel", "bec", "--n", "64", "--k", "32", "--param", "0.5",
+     "--out", "{tmp}"],
+    ["patterns", "--code", "{code}", "--json", "{missing}/p.json"],
+    ["verify-prop1", "--eps-start", "0.1", "--eps-stop", "0.9", "--eps-step", "0.1",
+     "--depth", "3", "--json", "{missing}/v.json"],
+    ["cost", "--method", "lcaml", "--json", "{missing}/c.json"],
+    ["simulate", "--code", "{code}", "--mode", "mode1", "--snr", "2.0", "--frames", "64",
+     "--out", "{missing}/sim"],
+])
+def test_cli_unwritable_output_fails_before_any_work(argv, tmp_path, small_code, capsys,
+                                                     monkeypatch):
+    # an output that cannot be written (its directory is missing, or it is a
+    # directory) is refused before the command works or prints
+    _, codefile = small_code
+    missing = tmp_path / "missing" / "dir"
+    argv = [a.format(missing=missing, tmp=tmp_path, code=codefile) for a in argv]
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(sim, "_run_chunk", no_chunk)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 @pytest.mark.parametrize("extra", [
     ["--snr", "1:0:2"],
     ["--snr", "1:2"],
@@ -460,6 +491,8 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr", "2.0", "--quantize-bits", "0"],
     ["--snr", "2.0", "--quantize-step", "0.5"],
     ["--snr", "2.0", "--quantize-bits", "4", "--quantize-step", "0"],
+    ["--snr", "2.0", "--quantize-bits", "1100"],
+    ["--snr", "2.0", "--quantize-bits", "4", "--quantize-step", "inf"],
     ["--snr", "2.0", "--seed", "-1"],
     ["--snr", "2.0", "--seed", str(2**64)],
     ["--snr", "2.0", "--mode", "mode4_1", "--theta", "-5"],
@@ -471,6 +504,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     ["--snr=-4000"],
     ["--snr", "3080"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
     _, codefile = small_code
     out = tmp_path / "bad"
@@ -647,6 +681,18 @@ def test_cli_simulate_quantized_llrs(tmp_path, small_code):
     assert rv == 0
     row = (tmp_path / "q5.csv").read_text().strip().splitlines()[1].split(",")
     assert int(row[6]) == 512  # frames column
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_simulate_subnormal_quantizer_step(tmp_path, small_code, capsys):
+    # the ratios llr / 1e-320 that overflow saturate, without a warning
+    _, codefile = small_code
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode1", "--snr", "2.0",
+                 "--frames", "128", "--target-fe", "0", "--quantize-bits", "4",
+                 "--quantize-step", "1e-320", "--out", str(tmp_path / "q")]) == 0
+    assert "error" not in capsys.readouterr().err
+    row = (tmp_path / "q.csv").read_text().strip().splitlines()[1].split(",")
+    assert int(row[6]) == 128  # frames column
 
 
 def test_quantize_default_step_saturation(small_code):
