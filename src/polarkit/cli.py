@@ -86,8 +86,9 @@ def _cmd_patterns(args) -> int:
     _check_outputs(args.json)
     code = load_code_file(args.code)
     report = {"code": str(args.code), "N": code.N, "K": code.K, "census": {}}
-    for M in args.m:
-        _, census = extract_patterns(code, M)
+    # every M is checked before anything prints
+    censuses = [(M, extract_patterns(code, M)[1]) for M in args.m]
+    for M, census in censuses:
         known = set(CATALOGS[M])
         unknown = sorted(census - known)
         report["census"][str(M)] = {

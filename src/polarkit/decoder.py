@@ -10,10 +10,13 @@ frozen pattern and the schedule:
               F...FD leaves (eight- or sixteen-bit) are repetition nodes; the
               six mixed patterns go through the divide-and-conquer expansion
               unit; anything else decodes bit by bit. With list size one (and
-              for each path after the mode4_1 switching point) mixed-pattern
-              leaves decode bit-serially as classic SC does; the joint symbol
-              decision is strictly better on a few percent of leaves and
-              remains available through the 'dnc' schedule.
+              for each path after the mode4_1 switching point) a mixed-pattern
+              leaf is decided in one SC pass straight over its eight LLRs
+              (`_sc_leaf`, no subtree to walk), with the bit-serial walk's
+              f, g and frozen penalties in bit order, so its words and path
+              metrics equal 'bitwise' to the byte; the joint symbol decision
+              is strictly better on a few percent of leaves and remains
+              available through the 'dnc' schedule.
 * 'dnc'     - every DF-free eight-bit pattern goes through the
               divide-and-conquer unit (exhaustive when q is large enough).
 * 'bitwise' - no shortcuts; single-bit leaves (reference schedule).
@@ -61,31 +64,43 @@ __all__ = [
 
 def f_llr(a, b):
     """Check-node update: sign(a)sign(b)min(|a|,|b|)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    # two buffers instead of four temporaries: at decoder sizes allocating
-    # fresh memory costs more than the arithmetic
-    out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
-    tmp = np.empty_like(out)
-    np.minimum(np.abs(a, out=out), np.abs(b, out=tmp), out=out)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     # the sign comes from a*b, which is NaN for 0*inf; min(|a|,|b|) is 0 there
     with np.errstate(invalid="ignore"):
-        np.multiply(a, b, out=tmp)
-    return np.copysign(out, tmp, out=out)[()]
+        return _f(a[None], b[None])[0]  # a leading axis, so 0-d input gives a scalar
 
 
 def g_llr(a, b, partial):
     """Variable-node update: b + (1 - 2*partial) * a, partial sums in {0, 1}."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    partial = np.asarray(partial)
-    out = np.empty(a.shape if a.shape == b.shape == partial.shape
-                   else np.broadcast_shapes(a.shape, b.shape, partial.shape))
-    np.multiply(partial, -2.0, out=out)  # one buffer, as in f_llr
-    out += 1.0  # (1 - 2*partial) is exactly +-1
-    out *= a
+    c = np.asarray(partial)
+    if not np.all((c == 0) | (c == 1)):
+        raise ValueError("partial sums must be 0 or 1")
+    a, b, c = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
+                                  np.asarray(b, dtype=np.float64), c.astype(np.uint8))
+    return _g(a[None], b[None], c[None])[0]
+
+
+def _f(a, b):
+    """f_llr on two arrays (ndim >= 1) of one shape, without its input
+    handling: the walk's LLRs are clamped finite, so a*b is never NaN."""
+    # two buffers instead of four temporaries: at decoder sizes allocating
+    # fresh memory costs more than the arithmetic
+    out, tmp = np.abs(a), np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.multiply(a, b, out=tmp)
+    return np.copysign(out, tmp, out=out)
+
+
+def _g(a, b, c):
+    """g_llr on two arrays (ndim >= 1) of one shape and uint8 partial sums
+    c that broadcast against them, in one buffer of the broadcast shape.
+    (1 - 2c) * a is a with its sign bit flipped where c = 1, exactly, so
+    three passes give the bytes of b + (1 - 2c) * a."""
+    sign = np.left_shift(c, 63, dtype=np.uint64)
+    out = np.bitwise_xor(sign, a.view(np.uint64), out=sign if sign.size >= a.size else None)
+    out = out.view(np.float64)
     out += b
-    return out[()]
+    return out
 
 
 def _relu(x):
@@ -350,6 +365,35 @@ def rate1_candidates(alpha):
     return pens.T.reshape(lead + (4,)), cw_vals.T.reshape(lead + (4,))
 
 
+def _sc_leaf(x, frozen, pm):
+    """Classic SC over the bits of one leaf, straight from its LLRs x
+    (..., n) and its mask `frozen` (1 = frozen); returns (partial sums, pm),
+    partial sums None where every bit is frozen.
+
+    The arithmetic is the bit-serial tree walk's: f and g as in `_walk`; an
+    information bit is its hard decision x < 0, and its penalty, min(relu(x),
+    relu(-x)) = +-0, would leave pm's bytes as they are (pm starts at +0 and
+    is never -0); each frozen bit adds relu(-x) to pm in bit order. Under an
+    all-frozen left half the partial sums are zero, so g is a + b.
+    """
+    if len(frozen) == 1:
+        if frozen[0]:
+            return None, pm + _relu(-x[..., 0])
+        return (x < 0).view(np.uint8), pm
+    h = len(frozen) // 2
+    a, b = x[..., 0::2], x[..., 1::2]
+    c_left, pm = _sc_leaf(_f(a, b), frozen[:h], pm)
+    c_right, pm = _sc_leaf(a + b if c_left is None else _g(a, b, c_left), frozen[h:], pm)
+    if c_right is None:
+        if c_left is None:
+            return None, pm
+        c_right = np.zeros_like(c_left)
+    c = np.empty(c_right.shape[:-1] + (2 * h,), dtype=np.uint8)
+    c[..., 0::2] = c_right if c_left is None else c_left ^ c_right
+    c[..., 1::2] = c_right
+    return c, pm
+
+
 # ---------------------------------------------------------------------------
 # Schedule (tree plan)
 
@@ -364,12 +408,10 @@ class _Leaf:
     symbol values, or for RATE1 the packed codewords themselves.
     """
 
-    __slots__ = ("start", "span", "kind", "plan", "fallback", "codewords")
+    __slots__ = ("start", "span", "kind", "plan", "codewords")
 
-    def __init__(self, start, span, kind, plan=None, fallback=None):
+    def __init__(self, start, span, kind, plan=None):
         self.start, self.span, self.kind, self.plan = start, span, kind, plan
-        # bit-serial subtree used where classic SC semantics are required
-        self.fallback = fallback
         self.codewords = None
         if kind is NodeKind.REPETITION:
             self.codewords = _rep_codewords(span)
@@ -400,15 +442,9 @@ def _build_tree(mask_bytes: bytes, schedule: str):
             fp = pattern_plan(sub)
             if fp.kind is NodeKind.RATE0:
                 return _Leaf(start, span, fp.kind)
-            if schedule == "dnc":
-                if not fp.has_df_pair:
-                    return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(sub))
-            elif fp.kind is NodeKind.RATE_R2:
-                # the joint symbol decision beats greedy SC on these
-                # patterns; classic-SC contexts use the bit-serial form
-                return _Leaf(start, span, fp.kind, _expand_plan(sub),
-                             fallback=build(start, span, "bitwise"))
-            elif fp.kind is not NodeKind.OTHER:
+            if fp.kind is NodeKind.RATE_R2 or (schedule == "dnc" and not fp.has_df_pair):
+                return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(sub))
+            if schedule == "fast" and fp.kind is not NodeKind.OTHER:
                 return _Leaf(start, span, fp.kind)
         half = span // 2
         return _Branch(start, span, build(start, half, schedule),
@@ -437,6 +473,8 @@ class _ListDecoder:
         self.code, self.L, self.q = code, cfg.L, cfg.q
         self.theta = cfg.switch_point(code.N)
         self.tree = _build_tree(code.frozen_mask.tobytes(), cfg.schedule)
+        # 'dnc' keeps the joint symbol decision for mixed leaves decoded alone
+        self.joint = cfg.schedule == "dnc"
 
     def _alone(self, node) -> bool:
         """True where every path decodes by itself: list size one, or the
@@ -456,7 +494,8 @@ class _ListDecoder:
         decode alone; returns the leaf's partial sums. The key is the penalty
         alone, not pm + penalty, where a rounding residue of g can vanish: so
         it does not depend on theta, and bit by bit it is SC. Ties go to the
-        first candidate."""
+        first candidate. A mixed leaf under 'fast' is decided as classic SC
+        decides it, bit by bit (`_sc_leaf`)."""
         if node.kind is NodeKind.RATE1:
             # the hard decision has penalty +0.0 and comes first: it always wins
             return (alpha < 0).view(np.uint8)
@@ -464,6 +503,9 @@ class _ListDecoder:
             p0, p1 = _rep_penalties(alpha)
             self._pm = self._pm + np.minimum(p0, p1)
             return node.codewords[(p1 < p0).view(np.uint8)]
+        if not self.joint:
+            c, self._pm = _sc_leaf(alpha, node.plan.pattern.mask, self._pm)
+            return c
         t1, t2 = leaf_metrics_rcc(alpha)
         pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
         best = pens.argmin(axis=-1)[..., None]
@@ -476,16 +518,12 @@ class _ListDecoder:
         the surviving paths, and for each survivor the entry path it
         descends from (None where no prune moved a path). A path axis of
         length one holds one value for every path; it broadcasts. A leaf
-        where paths decode alone takes its bit-serial fallback if it has
-        one, which makes the output exactly classic SC, and else `_pick`;
-        no path moves there."""
+        where paths decode alone goes to `_pick`; no path moves there."""
         if isinstance(node, _Leaf):
             if node.kind is NodeKind.RATE0:
                 self._pm = self._pm + rate0_penalty(alpha)
                 return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
             if self._alone(node):
-                if node.fallback is not None:
-                    return self._walk(node.fallback, alpha)
                 return self._pick(node, alpha), None
             if node.kind is NodeKind.REPETITION:
                 pens, syms = repetition_candidates(alpha)
@@ -497,10 +535,10 @@ class _ListDecoder:
             sym, parent = self._select(pens, syms)
             return node.codewords[sym], parent
         rows = self._rows
-        c_left, p_left = self._walk(node.left, f_llr(alpha[..., 0::2], alpha[..., 1::2]))
+        c_left, p_left = self._walk(node.left, _f(alpha[..., 0::2], alpha[..., 1::2]))
         if p_left is not None and alpha.shape[1] != 1:
             alpha = alpha[rows, p_left]
-        c_right, p_right = self._walk(node.right, g_llr(alpha[..., 0::2], alpha[..., 1::2], c_left))
+        c_right, p_right = self._walk(node.right, _g(alpha[..., 0::2], alpha[..., 1::2], c_left))
         parents = p_left
         if p_right is not None:
             if c_left.shape[1] != 1:

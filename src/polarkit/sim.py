@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -202,6 +201,9 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
             if consume(run(*job)):
                 break
     else:
+        # imported here: single-worker runs and the CLI's start-up skip its cost
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=workers)
         inflight = deque()
         try:

@@ -199,7 +199,7 @@ def test_decode_identical_with_oracle_kernels(llr_kind, rng, monkeypatch):
     got = [decoder.decode_frames(code, llrs, crc=spec, **cfg) for cfg in configs]
     monkeypatch.setattr(decoder, "_aml_candidates", oracle_aml_candidates)
     monkeypatch.setattr(decoder, "rate1_candidates", oracle_rate1_candidates)
-    monkeypatch.setattr(decoder, "f_llr", oracle_f_llr)
+    monkeypatch.setattr(decoder, "_f", oracle_f_llr)  # the tree walk's f
     want = [decoder.decode_frames(code, llrs, crc=spec, **cfg) for cfg in configs]
     for (u1, pm1, ok1), (u2, pm2, ok2) in zip(got, want):
         assert u1.tobytes() == u2.tobytes()

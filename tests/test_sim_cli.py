@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -100,7 +101,8 @@ def thread_pool(monkeypatch):
     chunks that ran, in order."""
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    # sim imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     started, lock, run = [], threading.Lock(), sim._run_chunk
 
     def counting(*args):
@@ -414,6 +416,15 @@ def test_cli_patterns_on_bec_code(tmp_path, capsys):
     doc = json.loads(rep.read_text())
     assert doc["census"]["8"]["unknown"] == []
     assert doc["census"]["16"]["distinct"] <= 17
+
+
+def test_cli_patterns_bad_m_fails_before_any_output(small_code, capsys):
+    # a later M that is not 2, 4, 8 or 16 fails before the first M's census prints
+    _, codefile = small_code
+    assert main(["patterns", "--code", str(codefile), "--m", "8,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["error: M must be one of 2, 4, 8, 16"]
+    assert captured.out == ""
 
 
 def test_cli_cost_row(tmp_path, capsys):
