@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -103,18 +102,32 @@ def _cmd_patterns(args) -> int:
     return 0
 
 
-def _exact(option: str, text: str) -> Fraction:
-    """An --eps-* value as an exact Fraction, refused first if its decimal
-    exponent exceeds 1000 in size: Fraction expands 10**exponent, which
-    runs for minutes at 1e9999999."""
+def _exact(name: str, text: str) -> Fraction:
+    """A sweep value as an exact Fraction: a finite decimal whose exponent
+    lies within -1000..1000, checked before Fraction expands 10**exponent,
+    which runs for minutes at 1e9999999. `name` labels it in the error."""
     try:
-        big = abs(Decimal(text).adjusted()) > 1000
-    except InvalidOperation:  # '1/3', or an exponent beyond even Decimal's range
-        big = "e" in text.lower()
-    if big:
-        raise ValueError(f"{option} {text!r} is not a number with a decimal exponent "
+        value = Decimal(text)
+    except InvalidOperation:  # '', '0x10', '1/3', or an exponent beyond Decimal's range
+        value = None
+    if value is None or not value.is_finite() or abs(value.adjusted()) > 1000:
+        raise ValueError(f"{name} {text!r} is not a number with a decimal exponent "
                          "within -1000..1000")
-    return Fraction(text)
+    return Fraction(value)
+
+
+def _grid(name: str, start: Fraction, step: Fraction, stop: Fraction) -> list:
+    """The exact points start + i*step of a grid that never passes its stop,
+    and includes it when a step reaches it exactly; counted before any is
+    built. `name` labels the grid in the error."""
+    if step == 0:
+        raise ValueError(f"{name} step must be nonzero")
+    count = (stop - start) // step + 1
+    if count < 1:
+        raise ValueError(f"{name} has no point: its step leads away from its stop")
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"{name} has more than {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(count)]
 
 
 def _cmd_verify_prop1(args) -> int:
@@ -122,15 +135,8 @@ def _cmd_verify_prop1(args) -> int:
     start = _exact("--eps-start", args.eps_start)
     stop = _exact("--eps-stop", args.eps_stop)
     step = _exact("--eps-step", args.eps_step)
-    if step <= 0:
-        raise ValueError("--eps-step must be positive")
-    count = (stop - start) // step + 1  # exact, from the Fractions
-    text = f"{args.eps_start}:{args.eps_step}:{args.eps_stop}"
-    if count < 1:
-        raise ValueError(f"eps grid {text!r} has no point: its stop lies below its start")
-    if count > _MAX_GRID_POINTS:
-        raise ValueError(f"eps grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    grid = [start + i * step for i in range(count)]
+    grid = _grid(f"eps grid '{args.eps_start}:{args.eps_step}:{args.eps_stop}'",
+                 start, step, stop)
     rep = verify_reliability_ordering(grid, depth=args.depth)
     doc = {
         "grid": [str(e) for e in (start, stop, step)],
@@ -163,34 +169,6 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _parse_points(text: str) -> tuple:
-    """Points of a 'start:step:stop' grid or of a comma list; every value
-    must be a finite number. A grid never passes its stop, and includes it
-    when a step reaches it within rounding ('0:0.1:0.3' has 4 points)."""
-    parts = text.split(":") if ":" in text else text.split(",")
-    try:
-        values = [float(v) for v in parts]
-    except ValueError:
-        raise ValueError(f"{text!r} is not 'start:step:stop' or a comma list of numbers") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid {text!r} has a non-finite value")
-    if ":" not in text:
-        return tuple(values)
-    if len(values) != 3:
-        raise ValueError(f"grid {text!r} is not 'start:step:stop'")
-    a, s, b = values
-    if s == 0:
-        raise ValueError(f"grid step must be nonzero in {text!r}")
-    # the slack keeps a stop that a step reaches within rounding; infinite
-    # where b - a overflows
-    steps = (b - a) / s + 1e-9
-    if steps < 0:
-        raise ValueError(f"grid {text!r} has no point: its step leads away from its stop")
-    if not steps < _MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    return tuple(a + i * s for i in range(int(steps) + 1))
-
-
 def _cmd_simulate(args) -> int:
     _check_outputs(args.out + ".csv", args.out + ".json")
     code = load_code_file(args.code)
@@ -202,7 +180,17 @@ def _cmd_simulate(args) -> int:
     if (args.snr is None) == (args.eps is None):
         raise ValueError("exactly one of --snr or --eps is required")
     channel = "awgn" if args.snr is not None else "bec"
-    points = _parse_points(args.snr if channel == "awgn" else args.eps)
+    text = args.snr if channel == "awgn" else args.eps
+    name = f"grid {text!r}"
+    values = [_exact(f"{name} value", v) for v in text.split(":" if ":" in text else ",")]
+    if ":" in text:
+        if len(values) != 3:
+            raise ValueError(f"{name} is not 'start:step:stop'")
+        values = _grid(name, *values)
+    try:  # float() rounds each exact value correctly
+        points = tuple(float(v) for v in values)
+    except OverflowError:
+        raise ValueError(f"{name} has a non-finite value") from None
 
     cfg = ModeConfig(args.mode, L=args.L, q=args.q, theta=args.theta, schedule=args.schedule)
 
@@ -268,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("simulate", help="seeded Monte Carlo FER/BER sweep")
     c.add_argument("--code", required=True)
     c.add_argument("--mode", default="mode4", choices=tuple(ModeConfig.LIST_SIZES))
-    grid = ("'start:step:stop' (never past stop; stop included when a step reaches it) "
-            "or comma list; one that starts below 0 needs the '=' form, as in --snr=-1:0.5:1")
+    grid = ("'start:step:stop' of exact decimals (never past stop; stop included when a "
+            "step reaches it) or comma list; one that starts below 0 needs the '=' form, "
+            "as in --snr=-1:0.5:1")
     c.add_argument("--snr", help=f"Eb/N0 grid in dB: {grid}")
     c.add_argument("--eps", help=f"erasure-probability grid for bec codes: {grid}")
     c.add_argument("--theta", type=int, help="mode4_1 switching point (bit index)")

@@ -57,6 +57,10 @@ _FLOAT_COLUMNS = {"snr_db", "eps", "ber", "fer"}  # written as repr(float)
 # arrays of the call stay small (2**18 raised the benchmark's peak RSS by 9%).
 _CHUNK_LLRS = 1 << 17
 
+# Most LLRs (L * N per frame) one stop batch may hold: a decode call takes one
+# batch at least and peaks near 30 bytes per LLR, so 2**25 stays near 1 GB.
+_MAX_BATCH_LLRS = 1 << 25
+
 
 def default_batch_frames(N: int) -> int:
     """Default frames per batch, sized so working arrays stay modest."""
@@ -138,6 +142,10 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
         raise ValueError("seed must fit in 64 bits (0 <= seed < 2**64)")
     if (batch_frames is not None and batch_frames < 1) or max_frames < 1:
         raise ValueError("batch_frames and max_frames must be >= 1")
+    batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
+    if cfg.L * code.N * batch > _MAX_BATCH_LLRS:
+        raise ValueError(f"a stop batch of L*N*batch = {cfg.L}*{code.N}*{batch} LLRs exceeds "
+                         "2**25; a smaller --L or --batch-frames gets under it")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if target_fe < 0:

@@ -8,6 +8,8 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.channel import channel_llrs, default_quantize_step, frame_rng, quantize_llr
-from polarkit.cli import _parse_points, main
+from polarkit.cli import _grid, main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
 from polarkit import sim
@@ -353,6 +355,9 @@ def test_simulate_point_rejects_bad_inputs_before_any_batch(small_code, monkeypa
                dict(target_fe=-5), dict(seed=-1), dict(seed=2**64)):
         with pytest.raises(ValueError):
             simulate_point(code, cfg, "awgn", 2.0, **kw)
+    for workers in (1, 2):  # a 2**25 + 2**15-LLR stop batch
+        with pytest.raises(ValueError, match="LLRs exceeds 2\\*\\*25"):
+            simulate_point(code, ModeConfig.custom(L=1025), "awgn", 2.0, workers=workers)
     for workers in (1, 2):
         with pytest.raises(ValueError, match="theta"):
             simulate_point(code, ModeConfig.mode4_1(code.N + 1), "awgn", 2.0, workers=workers)
@@ -438,6 +443,10 @@ def test_cli_verify_prop1_small(capsys):
                "--eps-step", "0.05", "--depth", "4"])
     assert rv == 0
     assert "PASS" in capsys.readouterr().out
+    # a descending grid is the same points, walked down
+    assert main(["verify-prop1", "--eps-start", "0.95", "--eps-stop", "0.05",
+                 "--eps-step", "-0.05", "--depth", "4"]) == 0
+    assert "over 19 grid points" in capsys.readouterr().out
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -514,6 +523,10 @@ def test_cli_unwritable_output_fails_before_any_work(argv, tmp_path, small_code,
     ["--snr=-3100"],
     ["--snr=-4000"],
     ["--snr", "3080"],
+    ["--snr", "1e400"],  # a finite decimal whose double is not finite
+    ["--snr", "1e9999999"],
+    ["--snr", "1/3"],
+    ["--snr", "2.0", "--mode", "mode4", "--L", "100000"],  # a 3.3e9-LLR stop batch
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
@@ -530,15 +543,33 @@ def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
 
 
 @pytest.mark.parametrize("grid,points", [
-    ("0:0.6:1", (0, 0.6)),
-    ("3:-0.7:1", (3, 2.3, 1.6)),
-    ("0:0.1:0.3", (0, 0.1, 0.2, 0.3)),
-    ("2.5:0.1:3.0", (2.5, 2.6, 2.7, 2.8, 2.9, 3.0)),
-    ("1:0.5:2.5", (1, 1.5, 2, 2.5)),
+    ("0:0.6:1", ("0", "0.6")),
+    ("3:-0.7:1", ("3", "2.3", "1.6")),
+    ("0:0.1:0.3", ("0", "0.1", "0.2", "0.3")),
+    ("2.5:0.1:3.0", ("2.5", "2.6", "2.7", "2.8", "2.9", "3.0")),
+    ("1:0.5:2.5", ("1", "1.5", "2", "2.5")),
+    ("0.1:0.1:0.7", ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7")),
+    ("0.001:0.001:0.01", tuple(f"0.{k:03}" for k in range(1, 10)) + ("0.01",)),
+    ("0:0.07:0.35", ("0", "0.07", "0.14", "0.21", "0.28", "0.35")),
+    ("0.3:0.2:0.6", ("0.3", "0.5")),
+    ("-1:0.5:0", ("-1", "-0.5", "0")),
 ])
 def test_cli_grid_never_passes_its_stop(grid, points):
-    # the stop is a point only where a step reaches it within rounding
-    assert _parse_points(grid) == pytest.approx(points, abs=1e-12)
+    # the points are the exact decimals, and the stop is one only where a
+    # step reaches it exactly; each simulates at the double of its decimal
+    got = _grid("grid", *(Fraction(v) for v in grid.split(":")))
+    assert got == [Fraction(p) for p in points]
+    assert [float(p) for p in got] == [float(Decimal(p)) for p in points]
+
+
+def test_cli_simulate_grid_points_are_the_typed_decimals(tmp_path, small_code):
+    # a float sum would run and print the third point as 0.30000000000000004
+    _, codefile = small_code
+    out = tmp_path / "exact"
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode1", "--eps", "0.1:0.1:0.3",
+                 "--frames", "64", "--target-fe", "0", "--out", str(out)]) == 0
+    rows = Path(f"{out}.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["0.1", "0.2", "0.3"]
 
 
 @pytest.mark.parametrize("grid,message", [
@@ -591,12 +622,14 @@ _EXPONENT = "is not a number with a decimal exponent within -1000..1000"
 
 @pytest.mark.parametrize("start,stop,step,message", [
     ("0.1", "0.2", "1e-12", "eps grid '0.1:1e-12:0.2' has more than 10000 points"),
-    ("0.5", "0.4", "0.01", "eps grid '0.5:0.01:0.4' has no point: its stop lies below its start"),
+    ("0.5", "0.4", "0.01",
+     "eps grid '0.5:0.01:0.4' has no point: its step leads away from its stop"),
     # Fraction(value) alone would expand 10**9999999 for minutes
     ("1e9999999", "0.2", "0.01", f"--eps-start '1e9999999' {_EXPONENT}"),
     ("0.1", "0.2", "1e-9999999", f"--eps-step '1e-9999999' {_EXPONENT}"),
     ("0.1", "1e99999999999999999999", "0.01",  # beyond even Decimal's exponents
      f"--eps-stop '1e99999999999999999999' {_EXPONENT}"),
+    ("0.1", "0.2", "1/30", f"--eps-step '1/30' {_EXPONENT}"),  # not a decimal
 ])
 def test_cli_verify_prop1_bad_grid_fails_fast(start, stop, step, message):
     # a grid built before it is counted, or a value expanded before its
