@@ -7,7 +7,7 @@ each frame's payload bits, the top bit of each raw-stream byte, i.e. the bits
 `frame_rng(s, i).integers(0, 2, uint8)` draws, then its noise row. Either way
 any partition of frames across workers replays identically. `noise_to_llrs`
 is the one channel model: it turns a noise buffer into LLRs in place, for
-`channel_llrs` and for the simulator's frame builder.
+`awgn_llr`, `bec_llr` and the simulator's frame builder.
 """
 
 from __future__ import annotations
@@ -92,23 +92,6 @@ def check_channel(channel: str, param: float, rate: float) -> None:
         raise ValueError("erasure probability must lie in (0, 1)")
 
 
-def channel_llrs(x, channel: str, param: float, rate: float, rngs) -> np.ndarray:
-    """Channel LLRs for the codeword rows of x; row i's noise comes from rngs[i].
-
-    'awgn': BPSK (bit 0 -> +1, 1 -> -1) at Eb/N0 = param dB and code rate
-    `rate`, LLR_i = 2 y_i / sigma^2, so on the all-zero word the LLRs are
-    Gaussian with mean 2/sigma^2 and variance 4/sigma^2. 'bec': 0 with
-    probability param (erasure probability), else +-inf by the bit; `rate`
-    is not used.
-    """
-    check_channel(channel, param, rate)
-    x = np.asarray(x, dtype=np.uint8)
-    noise = np.empty(x.shape)
-    for rng, row in zip(rngs, noise, strict=True):
-        draw_noise(rng, channel, row)
-    return noise_to_llrs(noise, x, channel, param, rate)
-
-
 def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
                   rate: float) -> np.ndarray:
     """Turn `noise` (from draw_noise) into the LLRs of codewords x, in place.
@@ -133,14 +116,30 @@ def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
     return noise
 
 
+def _llr_row(x, channel: str, param: float, rate: float,
+             rng: np.random.Generator) -> np.ndarray:
+    """Channel LLRs for one codeword x, its noise drawn from rng."""
+    x = as_bits(x)
+    check_channel(channel, param, rate)
+    noise = np.empty(x.shape)
+    draw_noise(rng, channel, noise)
+    return noise_to_llrs(noise, x, channel, param, rate)
+
+
 def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Channel LLRs for one codeword over BPSK-AWGN (see channel_llrs)."""
-    return channel_llrs(as_bits(x)[None, :], "awgn", ebno_db, rate, [rng])[0]
+    """Channel LLRs for one codeword over BPSK-AWGN, its noise drawn from rng.
+
+    Bit 0 -> +1, 1 -> -1 at Eb/N0 = ebno_db dB and code rate `rate`, and
+    LLR_i = 2 y_i / sigma^2: on the all-zero word the LLRs are Gaussian with
+    mean 2/sigma^2 and variance 4/sigma^2.
+    """
+    return _llr_row(x, "awgn", ebno_db, rate, rng)
 
 
 def bec_llr(x, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Erasure-channel LLRs for one codeword (see channel_llrs)."""
-    return channel_llrs(as_bits(x)[None, :], "bec", eps, 1.0, [rng])[0]
+    """Erasure-channel LLRs for one codeword, its erasures drawn from rng: 0
+    with probability eps, else +-inf by the bit."""
+    return _llr_row(x, "bec", eps, 1.0, rng)
 
 
 def default_quantize_step(bits: int, rate: float) -> float:

@@ -28,7 +28,7 @@ from .core import CRC32, _log2_exact
 from .costs import METHODS, count_ops
 from .decoder import ModeConfig
 from .patterns import CATALOGS, extract_patterns
-from .sim import check_run, default_batch_frames, points_to_csv, points_to_json, simulate_sweep
+from .sim import check_run, points_to_csv, points_to_json, simulate_sweep
 
 # Most points a 'start:step:stop' grid may have; checked before any is built.
 _MAX_GRID_POINTS = 10_000
@@ -197,11 +197,10 @@ def _cmd_simulate(args) -> int:
     if args.quantize_step is not None and args.quantize_bits is None:
         raise ValueError("a quantizer step needs quantizer bits (--quantize-bits)")
     run = dict(crc=crc, seed=args.seed, target_fe=args.target_fe, max_frames=args.frames,
-               batch_frames=default_batch_frames(code.N) if args.batch_frames is None
-               else args.batch_frames, workers=args.workers,
+               batch_frames=args.batch_frames, workers=args.workers,
                quantize=None if args.quantize_bits is None
                else (args.quantize_bits, args.quantize_step))
-    check_run(code, cfg, channel, points, **run)
+    batch = check_run(code, cfg, channel, points, **run)
     print(f"# code N={code.N} K={code.K} crc={code.crc_width} | mode={cfg.mode} "
           f"L={cfg.L} q={cfg.q} theta={cfg.theta} | "
           f"Eb/N0 with rate K/N incl CRC | seed={args.seed}")
@@ -210,7 +209,7 @@ def _cmd_simulate(args) -> int:
     Path(args.out + ".csv").write_text(points_to_csv(rows))
     Path(args.out + ".json").write_text(points_to_json(rows, meta={
         "code": str(args.code), "N": code.N, "K": code.K, "crc_width": code.crc_width,
-        "schedule": cfg.schedule, "batch_frames": run["batch_frames"],
+        "schedule": cfg.schedule, "batch_frames": batch,
     }))
     print(f"wrote {args.out}.csv and {args.out}.json")
     return 0

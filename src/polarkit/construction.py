@@ -42,10 +42,7 @@ def tau(x):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("tau is defined for x > 0")
-    lo = np.exp(-0.4527 * np.power(x, 0.86) + 0.0218)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.sqrt(np.pi / x) * np.exp(-x / 4.0) * (1.0 - 10.0 / (7.0 * x))
-    out = np.where(x < TAU_BRANCH_POINT, lo, hi)
+    out = np.exp(log_tau(x))
     return out if out.ndim else float(out)
 
 

@@ -156,7 +156,8 @@ def encode(code: PolarCode, info) -> Bits:
 class CrcSpec:
     """Bit-level CRC parameters.
 
-    `polynomial` is in normal form with the leading x**width term implicit.
+    `polynomial` is in normal form with the leading x**width term implicit;
+    `init` and `xor_out` are register values in 0..2**width - 1.
     With reflect=True the register is run LSB-first (the zlib convention when
     the input bits are each byte's bits least-significant first).
     """
@@ -172,6 +173,8 @@ class CrcSpec:
             raise ValueError("CRC width must lie in 1..64")
         if not 0 < self.polynomial < (1 << self.width):
             raise ValueError("polynomial degree must equal width")
+        if not (0 <= self.init < (1 << self.width) and 0 <= self.xor_out < (1 << self.width)):
+            raise ValueError(f"init and xor_out must lie in 0..2**{self.width} - 1")
 
 
 CRC32 = CrcSpec(width=32, polynomial=0x04C11DB7, init=0xFFFFFFFF, xor_out=0xFFFFFFFF)
@@ -183,28 +186,6 @@ def _reflect_int(value: int, width: int) -> int:
         out = (out << 1) | (value & 1)
         value >>= 1
     return out
-
-
-def crc_remainder_rows(rows: np.ndarray, spec: CrcSpec = CRC32) -> np.ndarray:
-    """CRC register value for each row of a (rows, nbits) bit matrix."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
-    w = spec.width
-    reg = np.full(rows.shape[0], spec.init, dtype=np.uint64)
-    if spec.reflect:
-        poly = np.uint64(_reflect_int(spec.polynomial, w))
-        one = np.uint64(1)
-        for j in range(rows.shape[1]):
-            fb = (reg ^ rows[:, j].astype(np.uint64)) & one
-            reg = (reg >> one) ^ (fb * poly)
-    else:
-        poly = np.uint64(spec.polynomial)
-        top = np.uint64(w - 1)
-        mask = np.uint64((1 << w) - 1)
-        one = np.uint64(1)
-        for j in range(rows.shape[1]):
-            fb = ((reg >> top) ^ rows[:, j].astype(np.uint64)) & one
-            reg = ((reg << one) & mask) ^ (fb * poly)
-    return (reg ^ np.uint64(spec.xor_out)) & np.uint64((1 << w) - 1)
 
 
 def _register_steps(reg: int, spec: CrcSpec, count: int) -> list:
@@ -250,35 +231,52 @@ def _crc_table(spec: CrcSpec, nbits: int):
     return T, np.uint64(_register_steps(spec.init, spec, nbits)[-1] ^ spec.xor_out)
 
 
-def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
-    """The `spec.width` CRC bits to append to each row of a bit matrix.
+def _bit_rows(bits) -> np.ndarray:
+    """`bits` as a matrix of rows, refused unless a nonempty bit vector or a
+    matrix of nonempty bit rows (zero rows of them included)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim not in (1, 2) or bits.shape[-1] == 0 or bits.max(initial=0) > 1:
+        raise ValueError("CRC input must be a nonempty bit vector or a matrix of nonempty "
+                         "bit rows")
+    return np.atleast_2d(bits)
 
-    Reflected CRCs emit the register LSB first; unreflected ones MSB first.
-    """
+
+def crc_remainder_rows(rows, spec: CrcSpec = CRC32) -> np.ndarray:
+    """CRC register value (uint64, xor_out applied) of each row of a bit
+    matrix, or of one bit vector."""
+    return _crc_registers(_bit_rows(rows), spec)
+
+
+def _crc_registers(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
+    """crc_remainder_rows of a checked bit matrix: one `_crc_table` entry
+    per byte of the packed row, XOR-ed together."""
     T, c = _crc_table(spec, rows.shape[1])
     packed = np.packbits(rows, axis=1)
-    reg = np.bitwise_xor.reduce(T[np.arange(T.shape[0]), packed], axis=1) ^ c
+    return np.bitwise_xor.reduce(T[np.arange(T.shape[0]), packed], axis=1) ^ c
+
+
+def _crc_tails(rows: np.ndarray, spec: CrcSpec) -> np.ndarray:
+    """The `spec.width` CRC bits of each row of a checked bit matrix, LSB
+    first for reflected CRCs and MSB first for unreflected ones."""
     shifts = np.arange(spec.width, dtype=np.uint64)
     if not spec.reflect:
         shifts = shifts[::-1]
-    return ((reg[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    regs = _crc_registers(rows, spec)
+    return ((regs[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def crc_append(info, spec: CrcSpec = CRC32) -> Bits:
     """Append the CRC of `info` (one bit vector, or each row of a bit
     matrix), giving len + width bits per row."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.ndim not in (1, 2) or info.size == 0 or info.max() > 1:
-        raise ValueError("info must be a nonempty bit vector or matrix of bit rows")
-    rows = np.atleast_2d(info)
+    rows = _bit_rows(info)
     out = np.concatenate([rows, _crc_tails(rows, spec)], axis=1)
-    return out if info.ndim == 2 else out[0]
+    return out if np.ndim(info) == 2 else out[0]
 
 
-def crc_check_rows(payloads: np.ndarray, spec: CrcSpec = CRC32) -> np.ndarray:
-    """True for each row whose trailing `spec.width` bits match the CRC of
-    the rest."""
-    payloads = np.atleast_2d(np.asarray(payloads, dtype=np.uint8))
+def crc_check_rows(payloads, spec: CrcSpec = CRC32) -> np.ndarray:
+    """True for each row (of a bit matrix, or of one bit vector) whose
+    trailing `spec.width` bits match the CRC of the rest."""
+    payloads = _bit_rows(payloads)
     if payloads.shape[1] <= spec.width:
         raise ValueError("payload shorter than CRC width")
     body, tail = payloads[:, : -spec.width], payloads[:, -spec.width :]

@@ -128,9 +128,11 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, batch, quant, s
 def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
               crc: CrcSpec | None = None, seed: int = 1, target_fe: int = 100,
               max_frames: int = 100_000, batch_frames: int | None = None,
-              workers: int = 1, quantize: tuple | None = None) -> None:
+              workers: int = 1, quantize: tuple | None = None) -> int:
     """Reject what no run of `cfg` on `code` at the channel points `params`
-    can use, before any frame decodes; the keywords are simulate_point's."""
+    can use, before any frame decodes; the keywords are simulate_point's.
+    Returns the stop batch size: batch_frames, or default_batch_frames(code.N)
+    for None."""
     if len(params) == 0:
         raise ValueError("a run needs at least one channel point")
     for param in params:
@@ -152,6 +154,7 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
         raise ValueError("target_fe must be >= 0 (0 disables early stop)")
     if quantize is not None:
         check_quantizer(*quantize)
+    return batch
 
 
 def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float, *,
@@ -166,12 +169,11 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     quantize = (bits, step) quantizes the LLRs; a step of None stands for
     default_quantize_step(bits, code.rate).
     """
-    check_run(code, cfg, channel, (param,), crc=crc, seed=seed, target_fe=target_fe,
-              max_frames=max_frames, batch_frames=batch_frames, workers=workers,
-              quantize=quantize)
+    batch = check_run(code, cfg, channel, (param,), crc=crc, seed=seed, target_fe=target_fe,
+                      max_frames=max_frames, batch_frames=batch_frames, workers=workers,
+                      quantize=quantize)
     if quantize is not None and quantize[1] is None:
         quantize = (quantize[0], default_quantize_step(quantize[0], code.rate))
-    batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
     full = max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))  # batches per full chunk
     workers = min(workers, -(-max_frames // (full * batch)))
     run = partial(_run_chunk, code, crc, cfg, channel, param, seed, batch, quantize)

@@ -1,5 +1,7 @@
-"""Brute-force references for tests: dense-matrix encoding, exhaustive symbol
-expansion, exhaustive ML decoding, and a bit-serial SC decoder.
+"""Brute-force references for tests: dense-matrix encoding, a bit-serial CRC
+register, the direct form of the Gaussian-approximation contraction tau,
+exhaustive symbol expansion, exhaustive ML decoding, and a bit-serial SC
+decoder.
 
 Everything here is intentionally independent of the production decoder (own
 codeword generation, own metric sums, own update formulas) so cross-checks are
@@ -8,6 +10,8 @@ caps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +50,45 @@ def matrix_encode(u) -> np.ndarray:
     G = generator_matrix(rows.shape[1])
     x = (rows.astype(np.int64) @ G.astype(np.int64) % 2).astype(np.uint8)
     return x[0] if u.ndim == 1 else x
+
+
+def _reflect_bits(value: int, width: int) -> int:
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+def crc_register_bit_serial(rows: np.ndarray, spec) -> np.ndarray:
+    """CRC register value (xor_out applied) for each row of a (rows, nbits)
+    bit matrix, shifting one input bit per step; `spec` is a CrcSpec."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint8))
+    w = spec.width
+    reg = np.full(rows.shape[0], spec.init, dtype=np.uint64)
+    if spec.reflect:
+        poly = np.uint64(_reflect_bits(spec.polynomial, w))
+        one = np.uint64(1)
+        for j in range(rows.shape[1]):
+            fb = (reg ^ rows[:, j].astype(np.uint64)) & one
+            reg = (reg >> one) ^ (fb * poly)
+    else:
+        poly = np.uint64(spec.polynomial)
+        top = np.uint64(w - 1)
+        mask = np.uint64((1 << w) - 1)
+        one = np.uint64(1)
+        for j in range(rows.shape[1]):
+            fb = ((reg >> top) ^ rows[:, j].astype(np.uint64)) & one
+            reg = ((reg << one) & mask) ^ (fb * poly)
+    return (reg ^ np.uint64(spec.xor_out)) & np.uint64((1 << w) - 1)
+
+
+def tau_linear(x: float) -> float:
+    """tau(x) as specified, evaluated directly: exp(-0.4527 x^0.86 + 0.0218)
+    for x < 10, else sqrt(pi / x) exp(-x / 4) (1 - 10 / (7 x))."""
+    if x < 10.0:
+        return math.exp(-0.4527 * x**0.86 + 0.0218)
+    return math.sqrt(math.pi / x) * math.exp(-x / 4.0) * (1.0 - 10.0 / (7.0 * x))
 
 
 def hard_decision(llr):

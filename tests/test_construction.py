@@ -10,6 +10,8 @@ import polarkit as pk
 from polarkit.channel import noise_sigma2
 from polarkit.construction import ORDER_16, design_mean_llr, log_tau, verify_reliability_ordering
 
+from oracle import tau_linear
+
 
 def test_bec_level1_and_level2_hand_values():
     t = pk.bec_reliability(2, 0.5)
@@ -144,8 +146,10 @@ def test_ordering_sixteen_chain_matches_catalog_order():
 
 
 def test_log_tau_matches_linear_where_representable():
+    # both branches against the directly evaluated specified form
     for x in (0.5, 3.0, 9.9, 10.0, 40.0, 200.0):
-        assert log_tau(x) == pytest.approx(np.log(pk.tau(x)), rel=1e-12)
+        assert log_tau(x) == pytest.approx(np.log(tau_linear(x)), rel=1e-12)
+        assert pk.tau(x) == pytest.approx(tau_linear(x), rel=1e-12)
 
 
 def test_code_file_round_trip(tmp_path, rng):

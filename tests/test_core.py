@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import polarkit as pk
 from polarkit.core import CRC32, CrcSpec, crc_check_rows, crc_remainder_rows
 
-from oracle import matrix_encode
+from oracle import crc_register_bit_serial, matrix_encode
 
 
 def test_encode_tiny_hand_values():
@@ -147,7 +147,7 @@ def test_crc_check_rows_matches_scalar(rng):
     assert got.tolist() == [True, True, True, False, True, True, False, True]
     # unreflected CRCs emit the register MSB first
     spec = CrcSpec(width=8, polynomial=0x07, init=0, xor_out=0, reflect=False)
-    reg = int(crc_remainder_rows(payloads[:1], spec)[0])
+    reg = int(crc_register_bit_serial(payloads[:1], spec)[0])
     tail = pk.crc_append(payloads[0], spec)[-8:]
     assert int("".join(map(str, tail)), 2) == reg
     assert crc_check_rows(pk.crc_append(payloads, spec), spec).all()
@@ -160,7 +160,7 @@ def bit_serial_tails(rows, spec):
         shifts = np.arange(spec.width, dtype=np.uint64)
     else:
         shifts = np.arange(spec.width - 1, -1, -1, dtype=np.uint64)
-    regs = crc_remainder_rows(rows, spec)
+    regs = crc_register_bit_serial(rows, spec)
     return ((regs[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
@@ -183,6 +183,10 @@ CRC_SPECS = [
 def test_affine_crc_matches_bit_serial(spec, length, count, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 2, size=(count, length), dtype=np.uint8)
+    regs = crc_remainder_rows(rows, spec)
+    assert regs.dtype == np.uint64
+    assert np.array_equal(regs, crc_register_bit_serial(rows, spec))
+    assert np.array_equal(crc_remainder_rows(rows[0], spec), regs[:1])
     words = pk.crc_append(rows, spec)
     assert np.array_equal(words[:, length:], bit_serial_tails(rows, spec))
     assert np.array_equal(pk.crc_append(rows[0], spec), words[0])
@@ -198,10 +202,39 @@ def test_crc_spec_validation():
         CrcSpec(width=0, polynomial=1, init=0, xor_out=0)
     with pytest.raises(ValueError):
         CrcSpec(width=4, polynomial=0x10, init=0, xor_out=0)  # degree too high
+    # init and xor_out are width-bit register values: a bit above the width
+    # would shift into a reflected register
+    for init, xor_out in ((0x100, 0), (0, 0x100), (-1, 0)):
+        with pytest.raises(ValueError, match=r"init and xor_out must lie in 0\.\.2\*\*8 - 1"):
+            CrcSpec(width=8, polynomial=0x07, init=init, xor_out=xor_out)
     with pytest.raises(ValueError):
         crc_check_rows(np.zeros(32, dtype=np.uint8))  # not longer than the CRC
     with pytest.raises(ValueError):
         pk.crc_append([0, 2, 1])  # not a bit vector
+
+
+@pytest.mark.parametrize("bad", [
+    np.full((2, 40), 2, np.uint8),  # not bits
+    np.zeros((2, 0), np.uint8),  # empty rows
+    [],
+    np.zeros((1, 2, 40), np.uint8),  # not a vector or matrix
+])
+def test_crc_functions_share_one_input_rule(bad):
+    for f in (crc_remainder_rows, pk.crc_append, crc_check_rows):
+        with pytest.raises(ValueError, match="^CRC input must be a nonempty bit vector"):
+            f(bad)
+
+
+def test_crc_input_rule_covers_the_tail_and_takes_zero_rows():
+    word = pk.crc_append(np.zeros(40, dtype=np.uint8))
+    word[-1] = 2
+    with pytest.raises(ValueError, match="nonempty bit vector"):
+        crc_check_rows(word)
+    # a batch of no frames is no error: each function answers with no rows
+    none = np.zeros((0, 40), dtype=np.uint8)
+    assert crc_remainder_rows(none).shape == (0,)
+    assert pk.crc_append(none).shape == (0, 72)
+    assert crc_check_rows(none).shape == (0,)
 
 
 def test_crc_width_above_64_rejected():

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.channel import channel_llrs, default_quantize_step, frame_rng, quantize_llr
+from polarkit.channel import default_quantize_step, frame_rng, quantize_llr
 from polarkit.cli import _grid, main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
@@ -283,12 +283,14 @@ def test_build_frames_matches_per_frame_streams(channel, param, quant, with_crc,
     crc = CRC32 if with_crc else None
     code = pk.select_frozen(pk.bec_reliability(7, 0.5), 64, crc_width=32 if with_crc else 0)
     seed = 12
-    # reference: one generator per frame, payloads first, then channel_llrs
+    # reference: one generator per frame, payloads first, then its codeword's
+    # awgn_llr or bec_llr
     rngs = [frame_rng(seed, start + i) for i in range(count)]
     payloads = np.stack([r.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
                          for r in rngs])
     infos = payloads if crc is None else pk.crc_append(payloads, crc)
-    llrs = channel_llrs(pk.encode(code, infos), channel, param, code.rate, rngs)
+    llrs = np.stack([pk.awgn_llr(x, param, code.rate, r) if channel == "awgn"
+                     else pk.bec_llr(x, param, r) for x, r in zip(pk.encode(code, infos), rngs)])
     if quant is not None:
         llrs = quantize_llr(llrs, *quant)
     got_infos, got_llrs = sim._build_frames(code, crc, channel, param, seed, start, count,
