@@ -7,7 +7,8 @@ each frame's payload bits, the top bit of each raw-stream byte, i.e. the bits
 `frame_rng(s, i).integers(0, 2, uint8)` draws, then its noise row. Either way
 any partition of frames across workers replays identically. `noise_to_llrs`
 is the one channel model: it turns a noise buffer into LLRs in place, for
-`awgn_llr`, `bec_llr` and the simulator's frame builder.
+the simulator's frame builder and for `awgn_llr`, which draws one codeword's
+AWGN LLRs from a given generator.
 """
 
 from __future__ import annotations
@@ -116,16 +117,6 @@ def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
     return noise
 
 
-def _llr_row(x, channel: str, param: float, rate: float,
-             rng: np.random.Generator) -> np.ndarray:
-    """Channel LLRs for one codeword x, its noise drawn from rng."""
-    x = as_bits(x)
-    check_channel(channel, param, rate)
-    noise = np.empty(x.shape)
-    draw_noise(rng, channel, noise)
-    return noise_to_llrs(noise, x, channel, param, rate)
-
-
 def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Channel LLRs for one codeword over BPSK-AWGN, its noise drawn from rng.
 
@@ -133,13 +124,11 @@ def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.nda
     LLR_i = 2 y_i / sigma^2: on the all-zero word the LLRs are Gaussian with
     mean 2/sigma^2 and variance 4/sigma^2.
     """
-    return _llr_row(x, "awgn", ebno_db, rate, rng)
-
-
-def bec_llr(x, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Erasure-channel LLRs for one codeword, its erasures drawn from rng: 0
-    with probability eps, else +-inf by the bit."""
-    return _llr_row(x, "bec", eps, 1.0, rng)
+    x = as_bits(x)
+    check_channel("awgn", ebno_db, rate)
+    noise = np.empty(x.shape)
+    draw_noise(rng, "awgn", noise)
+    return noise_to_llrs(noise, x, "awgn", ebno_db, rate)
 
 
 def default_quantize_step(bits: int, rate: float) -> float:

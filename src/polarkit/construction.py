@@ -33,21 +33,11 @@ TAU_X_MAX = 1e7
 _BISECT_ITERS = 100
 
 
-def tau(x):
-    """Mean-LLR contraction, piecewise as specified (branch switch at x=10).
-
-    The two branches disagree slightly at the switch (0.03853 vs 0.03943) and
-    the first branch exceeds 1 for x < ~0.0481; both quirks are kept verbatim.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("tau is defined for x > 0")
-    out = np.exp(log_tau(x))
-    return out if out.ndim else float(out)
-
-
 def log_tau(x):
-    """log(tau(x)), analytic per branch; never underflows."""
+    """log tau(x) of the mean-LLR contraction, x > 0, analytic per branch;
+    never underflows. Both quirks of the specified tau are kept: its branches
+    disagree at the switch x=10 (0.03853 vs 0.03943), and the first exceeds
+    1 for x < ~0.0481."""
     x = np.asarray(x, dtype=np.float64)
     lo = -0.4527 * np.power(x, 0.86) + 0.0218
     xs = np.maximum(x, TAU_BRANCH_POINT)  # keep the unused branch finite
@@ -76,21 +66,6 @@ def _tau_inverse_log(ly):
         lo = np.where(too_small, mid, lo)
         hi = np.where(too_small, hi, mid)
     return np.where(ly < log_tau(TAU_X_MAX), TAU_X_MAX, 0.5 * (lo + hi))
-
-
-def tau_inverse(y):
-    """Inverse of tau to ~1e-12 relative accuracy in tau-space.
-
-    y above tau's range raises; y below the double-precision floor of tau
-    clamps to TAU_X_MAX (documented cap rather than failure).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0):
-        raise ValueError("tau_inverse requires y > 0")
-    if np.any(y > tau(TAU_X_MIN)):
-        raise ValueError("y above the range of tau")
-    out = _tau_inverse_log(np.log(y))
-    return out if np.ndim(out) else float(out)
 
 
 @dataclass

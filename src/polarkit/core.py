@@ -42,18 +42,6 @@ def bitrev_indices(n: int) -> np.ndarray:
     return rev
 
 
-def bit_reverse_permute(v) -> np.ndarray:
-    """Reorder a power-of-two-length array by bit-reversed index.
-
-    Self-inverse: applying it twice returns the input.
-    """
-    v = np.asarray(v)
-    n = _log2_exact(v.shape[-1])
-    # np.take writes a fresh C-ordered array; fancy indexing on the last
-    # axis of a batch returns a transposed layout
-    return np.take(v, bitrev_indices(n), axis=-1)
-
-
 def polar_transform(u) -> Bits:
     """Apply the polar generator (bit-reversal permutation, then the
     kernel butterfly) over GF(2) along the last axis.
@@ -65,7 +53,9 @@ def polar_transform(u) -> Bits:
     the last three XOR byte j + h into byte j by a shift of 8h under a mask.
     """
     u = np.asarray(u, dtype=np.uint8)
-    x = bit_reverse_permute(u)  # fresh and C-ordered: updated in place below
+    # np.take writes a fresh C-ordered array, updated in place below; fancy
+    # indexing on the last axis of a batch returns a transposed layout
+    x = np.take(u, bitrev_indices(_log2_exact(u.shape[-1])), axis=-1)
     N = x.shape[-1]
     rows = x.reshape(-1, N).view("<u8") if N >= 8 else x.reshape(-1, N)
     span = rows.shape[-1]

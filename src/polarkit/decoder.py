@@ -52,12 +52,12 @@ import numpy as np
 
 from .channel import BEC_LLR_CLAMP
 from .core import CrcSpec, PolarCode, crc_check_rows, polar_transform
-from .patterns import FrozenPattern, NodeKind, classify_node, pattern_plan
+from .patterns import FrozenPattern, NodeKind, classify_node
 
 LEAF_SPAN = 8
 
 __all__ = [
-    "LEAF_SPAN", "ModeConfig", "decode_frames", "f_llr", "g_llr", "leaf_metrics_rcc",
+    "LEAF_SPAN", "ModeConfig", "decode_frames", "f_llr", "leaf_metrics_rcc",
     "aml_expand_prune", "rate0_penalty", "rate1_candidates", "repetition_candidates",
 ]
 
@@ -68,16 +68,6 @@ def f_llr(a, b):
     # the sign comes from a*b, which is NaN for 0*inf; min(|a|,|b|) is 0 there
     with np.errstate(invalid="ignore"):
         return _f(a[None], b[None])[0]  # a leading axis, so 0-d input gives a scalar
-
-
-def g_llr(a, b, partial):
-    """Variable-node update: b + (1 - 2*partial) * a, partial sums in {0, 1}."""
-    c = np.asarray(partial)
-    if not np.all((c == 0) | (c == 1)):
-        raise ValueError("partial sums must be 0 or 1")
-    a, b, c = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
-                                  np.asarray(b, dtype=np.float64), c.astype(np.uint8))
-    return _g(a[None], b[None], c[None])[0]
 
 
 def _f(a, b):
@@ -92,12 +82,15 @@ def _f(a, b):
 
 
 def _g(a, b, c):
-    """g_llr on two arrays (ndim >= 1) of one shape and uint8 partial sums
-    c that broadcast against them, in one buffer of the broadcast shape.
-    (1 - 2c) * a is a with its sign bit flipped where c = 1, exactly, so
-    three passes give the bytes of b + (1 - 2c) * a."""
+    """Variable-node update b + (1 - 2c) * a, in one buffer of the broadcast
+    shape: LLRs a and b of one (frames, paths, n) shape, and uint8 partial
+    sums c in {0, 1} of (frames, paths', n), one of the two path counts
+    being 1 where they differ. (1 - 2c) * a is a with its sign bit flipped
+    where c = 1, exactly, so three passes give the bytes of the formula."""
     sign = np.left_shift(c, 63, dtype=np.uint64)
-    out = np.bitwise_xor(sign, a.view(np.uint64), out=sign if sign.size >= a.size else None)
+    # the path axes decide, not the sizes: two empty batches have size 0
+    out = np.bitwise_xor(sign, a.view(np.uint64),
+                         out=sign if sign.shape[1] >= a.shape[1] else None)
     out = out.view(np.float64)
     out += b
     return out
@@ -179,7 +172,7 @@ class _ExpandPlan:
 
 @lru_cache(maxsize=None)
 def _expand_plan(mask: tuple) -> _ExpandPlan:
-    return _ExpandPlan(pattern_plan(mask))
+    return _ExpandPlan(FrozenPattern.from_mask(mask))
 
 
 # Tie keys of _first_k lie below this bound (symbol values and candidate
@@ -439,7 +432,7 @@ def _build_tree(mask_bytes: bytes, schedule: str):
         if schedule == "fast" and span == 16 and classify_node(sub) is NodeKind.REPETITION:
             return _Leaf(start, span, NodeKind.REPETITION)
         if span == LEAF_SPAN and schedule != "bitwise":
-            fp = pattern_plan(sub)
+            fp = FrozenPattern.from_mask(sub)
             if fp.kind is NodeKind.RATE0:
                 return _Leaf(start, span, fp.kind)
             if fp.kind is NodeKind.RATE_R2 or (schedule == "dnc" and not fp.has_df_pair):
@@ -656,14 +649,6 @@ class ModeConfig:
             raise ValueError("q must lie in 1..2^M")
         if self.schedule not in self.SCHEDULES:
             raise ValueError(f"schedule must be one of {self.SCHEDULES}")
-
-    @classmethod
-    def mode4(cls, **kw):
-        return cls("mode4", **kw)
-
-    @classmethod
-    def mode2(cls, **kw):
-        return cls("mode2", **kw)
 
     @classmethod
     def mode1(cls, **kw):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +39,6 @@ FREEZE_ORDER = {
 # The catalog of each symbol width M, {M: patterns}: the M + 1 prefixes of its freeze order.
 CATALOGS = {M: tuple("".join("F" if i in order[:k] else "D" for i in range(1, M + 1))
                      for k in range(M + 1)) for M, order in FREEZE_ORDER.items()}
-TWO_BIT_PATTERNS, FOUR_BIT_PATTERNS, EIGHT_BIT_PATTERNS, SIXTEEN_BIT_PATTERNS = CATALOGS.values()
 
 RATE_R2_PATTERNS = (
     "FDDDDDDD",
@@ -128,11 +126,6 @@ class FrozenPattern:
         """True if some pair reads 'DF' (data bit directly before a frozen bit)."""
         return any(self.mask[2 * i] == 0 and self.mask[2 * i + 1] == 1
                    for i in range(self.M // 2))
-
-
-@lru_cache(maxsize=None)
-def pattern_plan(mask: tuple) -> FrozenPattern:
-    return FrozenPattern.from_mask(mask)
 
 
 def extract_patterns(code: PolarCode, M: int):

@@ -232,7 +232,7 @@ def test_criterion_8_mode_ordering():
     fers = {}
     for snr in (1.0, 1.5, 2.0):
         row = {}
-        for cfg in (ModeConfig.mode4(), ModeConfig.mode2(), ModeConfig.mode1()):
+        for cfg in (ModeConfig("mode4"), ModeConfig("mode2"), ModeConfig.mode1()):
             pt = simulate_point(code, cfg, "awgn", snr, crc=CRC32, seed=seed,
                                 target_fe=100, max_frames=60_000, workers=WORKERS,
                                 batch_frames=64)

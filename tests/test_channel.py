@@ -5,13 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import polarkit as pk
-from polarkit.channel import check_channel, draw_frames, frame_rng, noise_sigma2, quantize_llr
+from polarkit.channel import (
+    awgn_llr,
+    check_channel,
+    draw_frames,
+    frame_rng,
+    noise_sigma2,
+    noise_to_llrs,
+    quantize_llr,
+)
+
+
+def bec_row(x, eps, rng):
+    """One codeword's erasure-channel LLRs from N uniforms of rng."""
+    return noise_to_llrs(rng.random(len(x)), x, "bec", eps, 1.0)
 
 
 def test_awgn_noiseless_limit_signs(rng):
     x = rng.integers(0, 2, size=256, dtype=np.uint8)
-    llr = pk.awgn_llr(x, 40.0, 0.5, frame_rng(3, 0))  # essentially noiseless
+    llr = awgn_llr(x, 40.0, 0.5, frame_rng(3, 0))  # essentially noiseless
     assert np.array_equal((llr < 0).astype(np.uint8), x)
 
 
@@ -21,16 +33,16 @@ def test_awgn_llr_moments_on_all_zero():
     ebno, rate = 2.0, 0.7
     s2 = noise_sigma2(ebno, rate)
     x = np.zeros(n, dtype=np.uint8)
-    llr = pk.awgn_llr(x, ebno, rate, frame_rng(12, 0))
+    llr = awgn_llr(x, ebno, rate, frame_rng(12, 0))
     assert llr.mean() == pytest.approx(2.0 / s2, rel=0.01)
     assert llr.var() == pytest.approx(4.0 / s2, rel=0.01)
 
 
 def test_awgn_determinism():
     x = np.zeros(64, dtype=np.uint8)
-    a = pk.awgn_llr(x, 1.0, 0.5, frame_rng(9, 41))
-    b = pk.awgn_llr(x, 1.0, 0.5, frame_rng(9, 41))
-    c = pk.awgn_llr(x, 1.0, 0.5, frame_rng(9, 42))
+    a = awgn_llr(x, 1.0, 0.5, frame_rng(9, 41))
+    b = awgn_llr(x, 1.0, 0.5, frame_rng(9, 41))
+    c = awgn_llr(x, 1.0, 0.5, frame_rng(9, 42))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -38,7 +50,7 @@ def test_awgn_determinism():
 def test_bec_llr_alphabet_and_rate():
     x = np.zeros(1_000_000, dtype=np.uint8)
     x[1::2] = 1
-    llr = pk.bec_llr(x, 0.5, frame_rng(5, 0))
+    llr = bec_row(x, 0.5, frame_rng(5, 0))
     vals = set(np.unique(llr))
     assert vals <= {-np.inf, 0.0, np.inf}
     erased = (llr == 0).mean()
@@ -49,7 +61,7 @@ def test_bec_llr_alphabet_and_rate():
 
 def test_bec_llr_no_erasure_limit():
     x = np.zeros(10_000, dtype=np.uint8)
-    llr = pk.bec_llr(x, 1e-12, frame_rng(5, 1))
+    llr = bec_row(x, 1e-12, frame_rng(5, 1))
     assert np.all(llr != 0)
 
 
@@ -98,24 +110,24 @@ def test_channel_param_validation():
         check_channel("fading", 1.0, 0.5)
     for eps in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
-            pk.bec_llr(x[0], eps, frame_rng(1, 0))
+            check_channel("bec", eps, 1.0)
     with pytest.raises(ValueError):
-        pk.awgn_llr(x[0], 2.0, 1.5, frame_rng(1, 0))  # rate outside (0, 1]
+        awgn_llr(x[0], 2.0, 1.5, frame_rng(1, 0))  # rate outside (0, 1]
     with pytest.raises(ValueError, match="noise variance"):
-        pk.awgn_llr(x[0], 4000, 0.5, frame_rng(1, 0))  # 10**400 overflows
+        awgn_llr(x[0], 4000, 0.5, frame_rng(1, 0))  # 10**400 overflows
     with pytest.raises(ValueError, match="noise variance"):
-        pk.awgn_llr(x[0], 3080, 0.5, frame_rng(1, 0))  # subnormal 1e-308: 2y / sigma^2 overflows
+        awgn_llr(x[0], 3080, 0.5, frame_rng(1, 0))  # subnormal 1e-308: 2y / sigma^2 overflows
     # the smallest normal variances still give finite LLRs, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(pk.awgn_llr(x[0], 3076, 0.5, frame_rng(1, 0))).all()
+        assert np.isfinite(awgn_llr(x[0], 3076, 0.5, frame_rng(1, 0))).all()
 
 
 @pytest.mark.parametrize("channel,param", [("awgn", 1.0), ("bec", 0.4)])
 def test_channel_rows_use_their_own_streams(channel, param, rng):
     x = rng.integers(0, 2, size=(5, 64), dtype=np.uint8)
-    got = np.stack([pk.awgn_llr(x[i], param, 0.5, frame_rng(7, 10 + i)) if channel == "awgn"
-                    else pk.bec_llr(x[i], param, frame_rng(7, 10 + i)) for i in range(5)])
+    got = np.stack([awgn_llr(x[i], param, 0.5, frame_rng(7, 10 + i)) if channel == "awgn"
+                    else bec_row(x[i], param, frame_rng(7, 10 + i)) for i in range(5)])
     # bit for bit the closed form, evaluated on whole arrays
     noise = np.stack([frame_rng(7, 10 + i).standard_normal(64) if channel == "awgn"
                       else frame_rng(7, 10 + i).random(64) for i in range(5)])

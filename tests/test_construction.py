@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import polarkit as pk
 from polarkit.channel import noise_sigma2
-from polarkit.construction import ORDER_16, design_mean_llr, log_tau, verify_reliability_ordering
+from polarkit.construction import (
+    ORDER_16,
+    TAU_X_MAX,
+    _tau_inverse_log,
+    design_mean_llr,
+    log_tau,
+    verify_reliability_ordering,
+)
 
 from oracle import tau_linear
 
@@ -33,22 +40,17 @@ def test_bec_rejects_bad_eps():
 
 
 def test_tau_spot_value():
-    assert pk.tau(1.0) == pytest.approx(0.6499, abs=2e-4)
+    assert np.exp(log_tau(1.0)) == pytest.approx(0.6499, abs=2e-4)
 
 
 def test_tau_inverse_round_trips():
-    assert pk.tau_inverse(pk.tau(1.0)) == pytest.approx(1.0, abs=1e-9)
-    assert pk.tau_inverse(pk.tau(50.0)) == pytest.approx(50.0, abs=1e-6)
+    assert _tau_inverse_log(log_tau(1.0)) == pytest.approx(1.0, abs=1e-9)
+    assert _tau_inverse_log(log_tau(50.0)) == pytest.approx(50.0, abs=1e-6)
 
 
-def test_tau_inverse_range_errors_and_clamp():
-    with pytest.raises(ValueError):
-        pk.tau_inverse(1.5)  # above tau's range
-    with pytest.raises(ValueError):
-        pk.tau_inverse(0.0)
-    # y too small for any double is unreachable through the linear API; the
-    # internal log form clamps at the domain cap instead of failing
-    from polarkit.construction import TAU_X_MAX, _tau_inverse_log
+def test_tau_inverse_log_clamps_at_domain_cap():
+    # a log tau below any double's log, as deep GA levels reach, clamps at the
+    # domain cap instead of failing
     assert float(_tau_inverse_log(np.array(-1e9))) == TAU_X_MAX
 
 
@@ -57,15 +59,15 @@ def test_tau_inverse_range_errors_and_clamp():
 def test_tau_round_trip_in_y(ly):
     # y -> x -> tau(x) returns y for y across many decades
     y = float(np.exp(ly))
-    x = pk.tau_inverse(y)
-    assert pk.tau(x) == pytest.approx(y, rel=1e-9, abs=1e-15)
+    x = _tau_inverse_log(np.log(y))
+    assert np.exp(log_tau(x)) == pytest.approx(y, rel=1e-9, abs=1e-15)
 
 
 def test_ga_level1_structure():
     for z0 in (0.5, 1.0, 4.0):
         t = pk.ga_reliability(1, z0)
         assert t.z[1][1] == pytest.approx(2 * z0, rel=1e-12)
-        if pk.tau(z0) <= 1:  # the fitted tau exceeds 1 below x ~ 0.048
+        if log_tau(z0) <= 0:  # the fitted tau exceeds 1 below x ~ 0.048
             assert t.z[1][0] < z0 < t.z[1][1]
 
 
@@ -149,7 +151,7 @@ def test_log_tau_matches_linear_where_representable():
     # both branches against the directly evaluated specified form
     for x in (0.5, 3.0, 9.9, 10.0, 40.0, 200.0):
         assert log_tau(x) == pytest.approx(np.log(tau_linear(x)), rel=1e-12)
-        assert pk.tau(x) == pytest.approx(tau_linear(x), rel=1e-12)
+        assert np.exp(log_tau(x)) == pytest.approx(tau_linear(x), rel=1e-12)
 
 
 def test_code_file_round_trip(tmp_path, rng):

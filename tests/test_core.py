@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.core import CRC32, CrcSpec, crc_check_rows, crc_remainder_rows
+from polarkit.core import CRC32, CrcSpec, bitrev_indices, crc_check_rows, crc_remainder_rows
 
 from oracle import crc_register_bit_serial, matrix_encode
 
@@ -78,20 +78,19 @@ def test_transform_is_involution(rng):
 
 
 def test_bit_reverse_permute():
-    a = np.arange(2)
-    assert np.array_equal(pk.bit_reverse_permute(a), a)
-    assert np.array_equal(pk.bit_reverse_permute(np.arange(4)), [0, 2, 1, 3])
+    assert np.array_equal(bitrev_indices(1), [0, 1])
+    assert np.array_equal(bitrev_indices(2), [0, 2, 1, 3])
     sym = np.array(list("abcdefgh"))
-    assert "".join(pk.bit_reverse_permute(sym)) == "aecgbfdh"
-    with pytest.raises(ValueError):
-        pk.bit_reverse_permute(np.arange(6))
+    assert "".join(sym[bitrev_indices(3)]) == "aecgbfdh"
+    with pytest.raises(ValueError, match="power of two"):
+        pk.polar_transform(np.zeros(6, dtype=np.uint8))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**30))
 def test_bit_reverse_is_involution(n, seed):
     v = np.random.default_rng(seed).permutation(1 << n)
-    assert np.array_equal(pk.bit_reverse_permute(pk.bit_reverse_permute(v)), v)
+    assert np.array_equal(v[bitrev_indices(n)][bitrev_indices(n)], v)
 
 
 # -- CRC ---------------------------------------------------------------------

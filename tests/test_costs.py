@@ -3,7 +3,7 @@ import pytest
 
 from polarkit import decoder
 from polarkit.costs import CostReport, count_ops, pattern_cost
-from polarkit.patterns import EIGHT_BIT_PATTERNS, RATE_R2_PATTERNS, FrozenPattern
+from polarkit.patterns import CATALOGS, RATE_R2_PATTERNS, FrozenPattern
 
 
 def test_published_rows_m8_q4():
@@ -92,7 +92,7 @@ def test_instrumented_examples():
 
 
 def test_worst_case_dominates_each_pattern():
-    for method, universe in (("dnc9", EIGHT_BIT_PATTERNS), ("lcaml", RATE_R2_PATTERNS)):
+    for method, universe in (("dnc9", CATALOGS[8]), ("lcaml", RATE_R2_PATTERNS)):
         worst = count_ops(method, 8, 4)
         best_seen = 0
         for s in universe:

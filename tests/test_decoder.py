@@ -14,10 +14,10 @@ from polarkit.decoder import (
     _Branch,
     _ListDecoder,
     _build_tree,
+    _g,
     aml_expand_prune,
     decode_frames,
     f_llr,
-    g_llr,
     leaf_metrics_rcc,
     rate0_penalty,
     rate1_candidates,
@@ -32,12 +32,9 @@ from oracle import bruteforce_symbol_topL, exhaustive_ml, matrix_encode, plain_s
 def test_f_g_hand_values():
     assert f_llr(2.0, -3.0) == -2.0
     assert f_llr(0.0, 5.0) == 0.0
-    assert g_llr(2.0, -3.0, 0) == -1.0
-    assert g_llr(2.0, -3.0, 1) == -5.0
-    assert g_llr(2.0, -3.0, True) == -5.0 and g_llr(2.0, -3.0, 1.0) == -5.0
-    for partial in (2, -1, 0.5):
-        with pytest.raises(ValueError, match="partial sums must be 0 or 1"):
-            g_llr(2.0, -3.0, partial)
+    # the walk's g on one frame, one path: partial sums 0 and 1
+    g = _g(np.full((1, 1, 2), 2.0), np.full((1, 1, 2), -3.0), np.array([[[0, 1]]], np.uint8))
+    assert np.array_equal(g, [[[-1.0, -5.0]]])
     assert rate1_candidates(np.zeros((1, 8)))[1][0, 0] == 0  # hard(0) = 0
 
 
@@ -189,7 +186,7 @@ def test_noiseless_decode_every_mode(rng):
     u = np.zeros(code.N, dtype=np.uint8)
     u[code.info_positions] = rng.integers(0, 2, code.K)
     llr = (1.0 - 2.0 * pk.encode(code, u[code.info_positions]).astype(float)) * 25
-    for cfg in (ModeConfig.mode4(), ModeConfig.mode2(), ModeConfig.mode1(),
+    for cfg in (ModeConfig("mode4"), ModeConfig("mode2"), ModeConfig.mode1(),
                 ModeConfig.mode4_1(theta=32), ModeConfig.custom(L=8)):
         u_hat, _, _ = _decode(code, llr[None, :], cfg)
         assert np.array_equal(u_hat[0], u), cfg.mode
@@ -201,7 +198,7 @@ def test_noiseless_decode_bec_llrs(rng):
     u[code.info_positions] = rng.integers(0, 2, code.K)
     x = pk.encode(code, u[code.info_positions])
     llr = np.where(x == 0, np.inf, -np.inf)  # erasure-free channel word
-    u_hat, _, _ = _decode(code, llr[None, :], ModeConfig.mode4())
+    u_hat, _, _ = _decode(code, llr[None, :], ModeConfig("mode4"))
     assert np.array_equal(u_hat[0], u)
 
 
@@ -553,14 +550,18 @@ def test_crc_failure_still_returns_word(rng):
     assert ok.dtype == bool
 
 
-@pytest.mark.parametrize("L", [1, 4])
+@pytest.mark.parametrize("L", [1, 2, 4])
 @pytest.mark.parametrize("crc", [None, CRC32])
 def test_zero_frame_batch_decodes_to_empty_results(L, crc):
-    code = pk.select_frozen(pk.bec_reliability(6, 0.5), 40, crc_width=0 if crc is None else 32)
-    u, pm, ok = decode_frames(code, np.zeros((0, code.N)), L=L, crc=crc)
-    assert u.shape == (0, code.N) and u.dtype == np.uint8
-    assert pm.shape == (0,)
-    assert ok is None if crc is None else (ok.shape == (0,) and ok.dtype == bool)
+    # on the longer codes a g whose partial sums hold more paths than its
+    # LLRs meets an empty batch
+    for n, K in ((6, 40), (7, 64), (8, 128)):
+        code = pk.select_frozen(pk.bec_reliability(n, 0.5), K,
+                                crc_width=0 if crc is None else 32)
+        u, pm, ok = decode_frames(code, np.zeros((0, code.N)), L=L, crc=crc)
+        assert u.shape == (0, code.N) and u.dtype == np.uint8
+        assert pm.shape == (0,)
+        assert ok is None if crc is None else (ok.shape == (0,) and ok.dtype == bool)
 
 
 def test_mode_config_validation():
@@ -588,10 +589,10 @@ def test_mode_config_validation():
             ModeConfig.mode4_1(theta)
         with pytest.raises(ValueError, match="theta"):
             ModeConfig.custom(L=4, theta=theta)
-    for named in (ModeConfig.mode4, ModeConfig.mode2, ModeConfig.mode1):
+    for mode in ("mode4", "mode2", "mode1"):
         with pytest.raises(ValueError, match="theta"):
-            named(theta=100)
-        assert named().effective_theta is None
+            ModeConfig(mode, theta=100)
+        assert ModeConfig(mode).effective_theta is None
     assert ModeConfig.mode4_1(0).effective_theta == 0
     assert ModeConfig.custom(L=8, theta=64).effective_theta == 64
 

@@ -19,9 +19,9 @@ from polarkit.channel import BEC_LLR_CLAMP
 from polarkit.decoder import (
     _aml_candidates,
     _expand_plan,
+    _g,
     aml_expand_prune,
     f_llr,
-    g_llr,
     leaf_metrics_rcc,
     rate1_candidates,
 )
@@ -178,7 +178,7 @@ def test_g_llr_matches_formula_bytes(kind, paths, seed):
     a_paths, c_paths = paths
     a, b = draw_llrs(kind, (2, a_paths, 16), rng), draw_llrs(kind, (2, a_paths, 16), rng)
     c = rng.integers(0, 2, (2, c_paths, 16), dtype=np.uint8)
-    got = g_llr(a, b, c)
+    got = _g(a, b, c)
     want = b + (1 - 2 * c.astype(np.int64)) * a
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

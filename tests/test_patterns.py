@@ -2,11 +2,8 @@ import pytest
 
 import polarkit as pk
 from polarkit.patterns import (
-    EIGHT_BIT_PATTERNS,
-    FOUR_BIT_PATTERNS,
+    CATALOGS,
     RATE_R2_PATTERNS,
-    SIXTEEN_BIT_PATTERNS,
-    TWO_BIT_PATTERNS,
     FrozenPattern,
     NodeKind,
     census_over_all_k,
@@ -15,19 +12,19 @@ from polarkit.patterns import (
 
 
 def test_catalog_sizes():
-    assert len(TWO_BIT_PATTERNS) == 3
-    assert len(FOUR_BIT_PATTERNS) == 5
-    assert len(EIGHT_BIT_PATTERNS) == 9
-    assert len(SIXTEEN_BIT_PATTERNS) == 17
+    assert len(CATALOGS[2]) == 3
+    assert len(CATALOGS[4]) == 5
+    assert len(CATALOGS[8]) == 9
+    assert len(CATALOGS[16]) == 17
     assert len(RATE_R2_PATTERNS) == 6
 
 
 def test_catalog_contents():
-    assert set(FOUR_BIT_PATTERNS) == {"DDDD", "FDDD", "FFDD", "FFFD", "FFFF"}
-    assert set(EIGHT_BIT_PATTERNS) == {
+    assert set(CATALOGS[4]) == {"DDDD", "FDDD", "FFDD", "FFFD", "FFFF"}
+    assert set(CATALOGS[8]) == {
         "DDDDDDDD", "FDDDDDDD", "FFDDDDDD", "FFFDDDDD", "FFFDFDDD",
         "FFFFFDDD", "FFFFFFDD", "FFFFFFFD", "FFFFFFFF"}
-    assert set(RATE_R2_PATTERNS) < set(EIGHT_BIT_PATTERNS)
+    assert set(RATE_R2_PATTERNS) < set(CATALOGS[8])
 
 
 def test_classification():
@@ -53,7 +50,7 @@ def test_beta_gamma_decomposition():
 
 
 def test_pair_counts_cover_all_pairs():
-    for s in EIGHT_BIT_PATTERNS:
+    for s in CATALOGS[8]:
         fp = FrozenPattern.from_string(s)
         ff = sum(1 for i in range(4) if fp.mask[2 * i] == 1 and fp.mask[2 * i + 1] == 1)
         assert fp.beta + fp.gamma + ff == 4
@@ -63,7 +60,7 @@ def test_extract_patterns_bec_code():
     code = pk.select_frozen(pk.bec_reliability(6, 0.5), 32)
     symbols, census = pk.extract_patterns(code, 8)
     assert len(symbols) == 8
-    assert census <= set(EIGHT_BIT_PATTERNS)
+    assert census <= set(CATALOGS[8])
     with pytest.raises(ValueError):
         pk.extract_patterns(code, 3)
 

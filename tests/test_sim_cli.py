@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polarkit as pk
-from polarkit.channel import default_quantize_step, frame_rng, quantize_llr
+from polarkit.channel import awgn_llr, default_quantize_step, frame_rng, noise_to_llrs, quantize_llr
 from polarkit.cli import _grid, main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
@@ -152,7 +152,7 @@ def test_simulate_default_chunks(small_code, thread_pool):
                    workers=2)
     assert _RecordingPool.sizes == [2] and sorted(thread_pool) == [0, 512]
     del thread_pool[:]
-    simulate_point(code, ModeConfig.mode4(), "awgn", 2.0, target_fe=0, max_frames=256)
+    simulate_point(code, ModeConfig("mode4"), "awgn", 2.0, target_fe=0, max_frames=256)
     assert thread_pool == [0, 128]
 
 
@@ -284,13 +284,14 @@ def test_build_frames_matches_per_frame_streams(channel, param, quant, with_crc,
     code = pk.select_frozen(pk.bec_reliability(7, 0.5), 64, crc_width=32 if with_crc else 0)
     seed = 12
     # reference: one generator per frame, payloads first, then its codeword's
-    # awgn_llr or bec_llr
+    # awgn_llr, or N uniforms through the channel model
     rngs = [frame_rng(seed, start + i) for i in range(count)]
     payloads = np.stack([r.integers(0, 2, size=code.payload_bits, dtype=np.uint8)
                          for r in rngs])
     infos = payloads if crc is None else pk.crc_append(payloads, crc)
-    llrs = np.stack([pk.awgn_llr(x, param, code.rate, r) if channel == "awgn"
-                     else pk.bec_llr(x, param, r) for x, r in zip(pk.encode(code, infos), rngs)])
+    llrs = np.stack([awgn_llr(x, param, code.rate, r) if channel == "awgn"
+                     else noise_to_llrs(r.random(code.N), x, "bec", param, code.rate)
+                     for x, r in zip(pk.encode(code, infos), rngs)])
     if quant is not None:
         llrs = quantize_llr(llrs, *quant)
     got_infos, got_llrs = sim._build_frames(code, crc, channel, param, seed, start, count,
@@ -328,7 +329,7 @@ def test_fer_decreases_with_snr(small_code):
 def test_crc_capacity_guard():
     code = pk.select_frozen(pk.bec_reliability(6, 0.5), 20, crc_width=0)
     with pytest.raises(ValueError):
-        simulate_point(code, ModeConfig.mode4(), "awgn", 2.0, crc=CRC32,
+        simulate_point(code, ModeConfig("mode4"), "awgn", 2.0, crc=CRC32,
                        max_frames=64)
 
 
