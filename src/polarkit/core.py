@@ -52,7 +52,12 @@ def polar_transform(u) -> Bits:
     on any host: stages whose half spans whole words XOR word slices, and
     the last three XOR byte j + h into byte j by a shift of 8h under a mask.
     """
-    u = np.asarray(u, dtype=np.uint8)
+    u = np.asarray(u)
+    # checked before the uint8 cast, which truncates 0.5 to 0
+    bits = u.max(initial=0) <= 1 if u.dtype == np.uint8 else np.isin(u, (0, 1)).all()
+    if u.ndim == 0 or not bits:
+        raise ValueError("polar_transform needs bits (0 or 1) along a last axis")
+    u = u.astype(np.uint8, copy=False)
     # np.take writes a fresh C-ordered array, updated in place below; fancy
     # indexing on the last axis of a batch returns a transposed layout
     x = np.take(u, bitrev_indices(_log2_exact(u.shape[-1])), axis=-1)

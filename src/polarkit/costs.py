@@ -128,8 +128,3 @@ def _dnc_cost(label: str, M: int, q: int, beta: int, gamma: int) -> CostReport:
         sorts.append((1 << gamma, k, 2 << beta))
     return CostReport(label, M, q, step0 + step2, tuple(sorts),
                       step0_multiplications=step0, step2_multiplications=step2)
-
-
-def pattern_cost(pattern: FrozenPattern, q: int) -> CostReport:
-    """Per-list cost of the divide-and-conquer unit on one specific pattern."""
-    return _dnc_cost(f"dnc[{pattern.string}]", pattern.M, q, pattern.beta, pattern.gamma)

@@ -182,25 +182,18 @@ _TIE_SPAN = 1 << LEAF_SPAN
 
 def _first_k(key, k: int, tie=None):
     """(keys, ties) of the k entries of each column that come first in
-    (key, tie) order, as (k, columns) arrays; `key` is used as scratch.
+    (key, tie) order, as (k, columns) arrays; `key` holds no NaN and is used
+    as scratch.
 
     Candidates run along axis 0 and independent rows along the contiguous
     last axis, so every step is a short reduction over axis 0. `tie` holds
     integers in [0, _TIE_SPAN), distinct within a column, and broadcasts
-    against `key`; None means the position on axis 0. NaN keys come after
-    every number, ordered by tie, as a stable sort by key of tie-ordered
-    entries puts them.
+    against `key`; None means the position on axis 0.
     """
     positional = tie is None
     if positional:
         tie = np.arange(key.shape[0])[:, None]
-    # rank > _TIE_SPAN for numbers, <= _TIE_SPAN for NaN; the larger goes first
-    rank = 2 * _TIE_SPAN - np.asarray(tie, dtype=np.uint16)
-    has_nan = np.isnan(key.sum())  # a NaN anywhere makes the sum NaN
-    if has_nan:
-        nan = np.isnan(key)
-        rank = rank - nan.astype(np.uint16) * _TIE_SPAN
-        key[nan] = np.inf
+    rank = _TIE_SPAN - np.asarray(tie, dtype=np.uint16)  # in 1.._TIE_SPAN; the larger goes first
     cols = np.arange(key.shape[1])
     keys = np.empty((k, key.shape[1]))
     ranks = np.empty((k, key.shape[1]), dtype=np.uint16)
@@ -212,14 +205,10 @@ def _first_k(key, k: int, tie=None):
         if i + 1 == k:
             break
         if positional:
-            key[(2 * _TIE_SPAN - ranks[i]) % _TIE_SPAN, cols] = np.nan
+            key[_TIE_SPAN - ranks[i], cols] = np.nan
         else:
             key[hit == ranks[i]] = np.nan
-    ties = 2 * _TIE_SPAN - ranks
-    if has_nan:
-        keys[ties >= _TIE_SPAN] = np.nan
-        ties %= _TIE_SPAN
-    return keys, ties
+    return keys, _TIE_SPAN - ranks
 
 
 def leaf_metrics_rcc(llrs):
@@ -296,9 +285,9 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     (metric, path index, symbol value).
 
     Leaf LLRs are clamped to +-BEC_LLR_CLAMP, as decode_frames clamps
-    channel LLRs, so infinite inputs give finite metrics. Returns (parents,
-    symbols, metrics); a leading batch axis mirrors the input (path_metrics
-    may be (P,) or (B, P)).
+    channel LLRs, so infinite inputs give finite metrics; NaN raises
+    ValueError there and here. Returns (parents, symbols, metrics); a leading
+    batch axis mirrors the input (path_metrics may be (P,) or (B, P)).
     """
     if pattern.kind is not NodeKind.RATE_R2:
         raise ValueError("pattern must classify as a mixed (rate-R-2) node")
@@ -308,6 +297,8 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     single = pm.ndim == 1
     pm = np.atleast_2d(pm)
     llr = np.clip(np.asarray(leaf_llrs, dtype=np.float64), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
+    if np.isnan(llr.sum()):
+        raise ValueError("LLRs must not be NaN")
     llr = llr.reshape(pm.shape + (pattern.M,))
     t1, t2 = leaf_metrics_rcc(llr)
     pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q)
@@ -327,29 +318,29 @@ def rate0_penalty(alpha):
     return _relu(-a).sum(axis=-1)
 
 
-def _rep_penalties(a):
-    """Penalties (all-zero, all-one) of a repetition leaf's LLRs."""
-    if a.shape[-1] == 1:
-        # one bit: summing a size-1 axis would cost more than the whole leaf
-        return _relu(-a)[..., 0], _relu(a)[..., 0]
-    return _relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)
-
-
 def repetition_candidates(alpha):
     """(penalties, symbols) for the all-zero / all-one hypotheses."""
     a = np.asarray(alpha, dtype=np.float64)
-    return np.stack(_rep_penalties(a), axis=-1), np.array([0, 1], dtype=np.int64)
+    if a.shape[-1] == 1:
+        # one bit: summing a size-1 axis would cost more than the whole leaf
+        pens = np.concatenate([_relu(-a), _relu(a)], axis=-1)
+    else:
+        pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
+    return pens, np.array([0, 1], dtype=np.int64)
 
 
 def rate1_candidates(alpha):
     """(penalties, codewords) for the hard decision and flips of the two
     least reliable positions (first positions among equal magnitudes), each
     codeword packed into an integer, first position = MSB; candidate order
-    is the enumeration order."""
+    is the enumeration order. NaN raises ValueError, as in decode_frames."""
     a = np.asarray(alpha, dtype=np.float64)
     lead, M = a.shape[:-1], a.shape[-1]
     aT = a.reshape(-1, M).T  # positions on axis 0
-    (m1, m2), (i1, i2) = _first_k(np.abs(aT, out=np.empty(aT.shape)), 2)
+    mag = np.abs(aT, out=np.empty(aT.shape))
+    if np.isnan(mag.sum()):  # |x| sums to +inf at most: only a NaN makes it NaN
+        raise ValueError("LLRs must not be NaN")
+    (m1, m2), (i1, i2) = _first_k(mag, 2)
     pens = np.stack([np.zeros_like(m1), m1, m2, m1 + m2])
     w = 1 << np.arange(M - 1, -1, -1)
     packed = ((aT < 0) * w[:, None]).sum(axis=0)
@@ -425,10 +416,10 @@ class _Branch:
 def _build_tree(mask_bytes: bytes, schedule: str):
     mask = np.frombuffer(mask_bytes, dtype=np.uint8)
 
-    def build(start, span, schedule):
+    def build(start, span):
         if span == 1:
             return _Leaf(start, 1, NodeKind.RATE0 if mask[start] else NodeKind.REPETITION)
-        sub = tuple(int(b) for b in mask[start : start + span])
+        sub = mask[start : start + span]  # a view: read only where a node is classified
         if schedule == "fast" and span == 16 and classify_node(sub) is NodeKind.REPETITION:
             return _Leaf(start, span, NodeKind.REPETITION)
         if span == LEAF_SPAN and schedule != "bitwise":
@@ -436,14 +427,13 @@ def _build_tree(mask_bytes: bytes, schedule: str):
             if fp.kind is NodeKind.RATE0:
                 return _Leaf(start, span, fp.kind)
             if fp.kind is NodeKind.RATE_R2 or (schedule == "dnc" and not fp.has_df_pair):
-                return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(sub))
+                return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(fp.mask))
             if schedule == "fast" and fp.kind is not NodeKind.OTHER:
                 return _Leaf(start, span, fp.kind)
         half = span // 2
-        return _Branch(start, span, build(start, half, schedule),
-                       build(start + half, half, schedule))
+        return _Branch(start, span, build(start, half), build(start + half, half))
 
-    return build(0, len(mask), schedule)
+    return build(0, len(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +472,15 @@ class _ListDecoder:
                                            self.L)
         return sym_sel, parent
 
+    def _expand(self, node: _Leaf, alpha):
+        """(penalties, symbols) of every path's candidates at a non-frozen
+        leaf, by its kind; symbols broadcast against the penalties."""
+        if node.kind is NodeKind.REPETITION:
+            return repetition_candidates(alpha)
+        if node.kind is NodeKind.RATE1:
+            return rate1_candidates(alpha)
+        return _aml_candidates(*leaf_metrics_rcc(alpha), node.plan, self.q)
+
     def _pick(self, node: _Leaf, alpha):
         """Each path's own best candidate at a non-frozen leaf where paths
         decode alone; returns the leaf's partial sums. The key is the penalty
@@ -492,18 +491,14 @@ class _ListDecoder:
         if node.kind is NodeKind.RATE1:
             # the hard decision has penalty +0.0 and comes first: it always wins
             return (alpha < 0).view(np.uint8)
-        if node.kind is NodeKind.REPETITION:
-            p0, p1 = _rep_penalties(alpha)
-            self._pm = self._pm + np.minimum(p0, p1)
-            return node.codewords[(p1 < p0).view(np.uint8)]
-        if not self.joint:
+        if node.kind is NodeKind.RATE_R2 and not self.joint:
             c, self._pm = _sc_leaf(alpha, node.plan.pattern.mask, self._pm)
             return c
-        t1, t2 = leaf_metrics_rcc(alpha)
-        pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
+        pens, syms = self._expand(node, alpha)
         best = pens.argmin(axis=-1)[..., None]
         self._pm = self._pm + np.take_along_axis(pens, best, -1)[..., 0]
-        return node.codewords[np.take_along_axis(syms, best, -1)[..., 0]]
+        sym = np.take_along_axis(np.broadcast_to(syms, pens.shape), best, -1)[..., 0]
+        return node.codewords[sym]
 
     def _walk(self, node, alpha):
         """Decode the subtree under `node` from its LLRs `alpha`, given in
@@ -518,14 +513,7 @@ class _ListDecoder:
                 return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
             if self._alone(node):
                 return self._pick(node, alpha), None
-            if node.kind is NodeKind.REPETITION:
-                pens, syms = repetition_candidates(alpha)
-            elif node.kind is NodeKind.RATE1:
-                pens, syms = rate1_candidates(alpha)
-            else:
-                t1, t2 = leaf_metrics_rcc(alpha)
-                pens, syms = _aml_candidates(t1, t2, node.plan, self.q)
-            sym, parent = self._select(pens, syms)
+            sym, parent = self._select(*self._expand(node, alpha))
             return node.codewords[sym], parent
         rows = self._rows
         c_left, p_left = self._walk(node.left, _f(alpha[..., 0::2], alpha[..., 1::2]))

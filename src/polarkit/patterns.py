@@ -40,14 +40,8 @@ FREEZE_ORDER = {
 CATALOGS = {M: tuple("".join("F" if i in order[:k] else "D" for i in range(1, M + 1))
                      for k in range(M + 1)) for M, order in FREEZE_ORDER.items()}
 
-RATE_R2_PATTERNS = (
-    "FDDDDDDD",
-    "FFDDDDDD",
-    "FFFDDDDD",
-    "FFFDFDDD",
-    "FFFFFDDD",
-    "FFFFFFDD",
-)
+# The six mixed eight-bit patterns: the prefixes of one to six frozen bits.
+RATE_R2_PATTERNS = CATALOGS[8][1:-2]
 
 
 def classify_node(mask) -> NodeKind:
@@ -63,7 +57,7 @@ def classify_node(mask) -> NodeKind:
         return NodeKind.RATE0
     if all(b == 0 for b in bits):
         return NodeKind.RATE1
-    if s in ("FFFFFFFD", "FFFFFFFFFFFFFFFD"):
+    if s in (CATALOGS[8][-2], CATALOGS[16][-2]):
         return NodeKind.REPETITION
     if s in RATE_R2_PATTERNS:
         return NodeKind.RATE_R2

@@ -86,6 +86,14 @@ def test_bit_reverse_permute():
         pk.polar_transform(np.zeros(6, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("u", [[2, 0], [0.5, 1], [-1, 0], np.uint8(1),
+                               np.array([[0, 1], [1, 2]], dtype=np.uint8)])
+def test_polar_transform_refuses_non_bits(u):
+    # 0.5 must not pass as the 0 a uint8 cast would make of it
+    with pytest.raises(ValueError, match="bits"):
+        pk.polar_transform(u)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**30))
 def test_bit_reverse_is_involution(n, seed):

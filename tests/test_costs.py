@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarkit import decoder
-from polarkit.costs import CostReport, count_ops, pattern_cost
+from polarkit.costs import CostReport, _dnc_cost, count_ops
 from polarkit.patterns import CATALOGS, RATE_R2_PATTERNS, FrozenPattern
 
 
@@ -81,7 +81,7 @@ def test_instrumented_matches_formula_per_pattern():
             sums, sorts = _measured(fp, q)
             want = min(q, 1 << fp.gamma) ** 2 * (1 << fp.beta)
             assert sums == want, (s, q)
-            assert sorts == _sort_multiset(pattern_cost(fp, q)), (s, q)
+            assert sorts == _sort_multiset(_dnc_cost(s, 8, q, fp.beta, fp.gamma)), (s, q)
 
 
 def test_instrumented_examples():
@@ -96,7 +96,8 @@ def test_worst_case_dominates_each_pattern():
         worst = count_ops(method, 8, 4)
         best_seen = 0
         for s in universe:
-            per = pattern_cost(FrozenPattern.from_string(s), 4)
+            fp = FrozenPattern.from_string(s)
+            per = _dnc_cost(s, 8, 4, fp.beta, fp.gamma)
             assert per.step2_multiplications <= worst.step2_multiplications
             best_seen = max(best_seen, per.step2_multiplications)
         assert best_seen == worst.step2_multiplications  # equality at the arg-max

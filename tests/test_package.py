@@ -62,12 +62,13 @@ def test_top_level_exports_are_readme_or_cli_and_sim_names():
 
 
 def test_test_only_wrappers_are_gone():
-    from polarkit import channel, construction, core, decoder, patterns
+    from polarkit import channel, construction, core, costs, decoder, patterns
 
     gone = [(channel, "bec_llr"), (channel, "_llr_row"), (decoder, "g_llr"),
             (construction, "tau"), (construction, "tau_inverse"),
             (core, "bit_reverse_permute"), (patterns, "pattern_plan"),
             (patterns, "TWO_BIT_PATTERNS"), (patterns, "FOUR_BIT_PATTERNS"),
             (patterns, "EIGHT_BIT_PATTERNS"), (patterns, "SIXTEEN_BIT_PATTERNS"),
-            (decoder.ModeConfig, "mode4"), (decoder.ModeConfig, "mode2")]
+            (decoder.ModeConfig, "mode4"), (decoder.ModeConfig, "mode2"),
+            (costs, "pattern_cost")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
