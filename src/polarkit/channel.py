@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_bits
+from .core import as_bits, as_count
 
 # Finite stand-in for certain (+-inf) erasure-channel LLRs inside decoders;
 # large enough to dominate any real LLR, small enough that metric sums over a
@@ -25,9 +25,8 @@ BEC_LLR_CLAMP = 1e30
 
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Counter-based generator for one frame, keyed by (seed, frame_index)."""
-    if not 0 <= seed < 2**64 or frame_index < 0:
-        raise ValueError("seed must fit in 64 bits and frame_index be >= 0")
-    key = np.array([seed, frame_index], dtype=np.uint64)
+    key = np.array([as_count("seed", seed, 0, 2**64 - 1, "0..2**64 - 1"),
+                    as_count("frame_index", frame_index, 0)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -135,7 +134,7 @@ def default_quantize_step(bits: int, rate: float) -> float:
     """Quantizer step that saturates at about 4 sigma of the AWGN channel LLR
     at Eb/N0 = 2 dB."""
     std = 2.0 / np.sqrt(noise_sigma2(2.0, rate))
-    return 4.0 * std / ((1 << (bits - 1)) - 1)
+    return 4.0 * std / (2.0 ** (bits - 1) - 1)
 
 
 def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
@@ -146,7 +145,7 @@ def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
     """
     check_quantizer(bits, step)
     llr = np.asarray(llr, dtype=np.float64)
-    lim = float((1 << (bits - 1)) - 1)
+    lim = 2.0 ** (bits - 1) - 1  # a float: numpy integer bits would overflow 1 << 63
     # a ratio that overflows is +-inf, which the clip saturates like any other
     with np.errstate(over="ignore"):
         return np.clip(np.rint(llr / step), -lim, lim) * step
@@ -156,7 +155,6 @@ def check_quantizer(bits: int, step: float | None) -> None:
     """Reject a quantizer of bits outside 2..1024 (past 1024 bits its limit
     2**(bits-1) - 1 is no double) or with a step that is not a finite number
     > 0; a step of None stands for default_quantize_step, which is one."""
-    if not 2 <= bits <= 1024:
-        raise ValueError("quantizer bits must lie in 2..1024")
+    as_count("quantizer bits", bits, 2, 1024)
     if step is not None and not 0 < step < np.inf:
         raise ValueError("quantizer step must be a finite number > 0")

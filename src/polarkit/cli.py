@@ -24,7 +24,7 @@ from .construction import (
     select_frozen,
     verify_reliability_ordering,
 )
-from .core import CRC32, _log2_exact
+from .core import CRC32, _log2_exact, as_count
 from .costs import METHODS, count_ops
 from .decoder import ModeConfig
 from .patterns import CATALOGS, extract_patterns
@@ -62,8 +62,7 @@ def _cmd_construct(args) -> int:
     n = _log2_exact(args.n)
     if args.n > _MAX_CONSTRUCT_N:
         raise ValueError(f"N must be at most {_MAX_CONSTRUCT_N} (2**20), got {args.n}")
-    if not 0 < args.k < args.n:
-        raise ValueError("K must satisfy 0 < K < N")
+    as_count("K", args.k, 1, args.n - 1)  # before the reliability recursion
     if args.channel == "bec":
         if args.param is None:
             raise ValueError("--param (erasure probability) required for bec")

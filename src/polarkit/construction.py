@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Bits, Construction, PolarCode
+from .core import Bits, Construction, PolarCode, as_count
 from .patterns import FREEZE_ORDER
 
 TAU_BRANCH_POINT = 10.0
@@ -95,8 +95,7 @@ def bec_reliability(n: int, eps: float) -> ReliabilityTable:
     """Erasure-probability recursion from z_0 = eps."""
     if not 0.0 < eps < 1.0:
         raise ValueError("erasure probability must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count("n", n, 1)
     lz = [np.array([np.log(eps)])]
     lb = [np.array([np.log1p(-eps)])]
     for _ in range(n):
@@ -120,8 +119,7 @@ def bec_reliability(n: int, eps: float) -> ReliabilityTable:
 
 def ga_reliability(n: int, z0: float) -> ReliabilityTable:
     """Mean-LLR recursion from the design-point channel LLR mean z0 > 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count("n", n, 1)
     if not (z0 > 0 and np.isfinite(z0 * 2.0**n)):  # the best channel's mean is z0 * 2**n
         raise ValueError(f"z0 must be a finite number > 0 whose z0 * 2**n is finite, got {z0}")
     levels = [np.array([float(z0)])]
@@ -158,8 +156,7 @@ def select_frozen(table: ReliabilityTable, K: int, *, design_param: float | None
                   crc_width: int = 0) -> PolarCode:
     """Freeze the N-K least reliable positions (ties freeze the smaller index)."""
     N = 1 << table.n
-    if not 0 < K < N:
-        raise ValueError(f"K must satisfy 0 < K < N, got {K}")
+    K = as_count("K", K, 1, N - 1)
     mask = np.zeros(N, dtype=np.uint8)
     mask[table.frozen_order()[: N - K]] = 1
     meta = Construction(table.channel, table.param if design_param is None else design_param)
@@ -216,8 +213,7 @@ def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
     1-based indices. Minimum margins (absolute and relative to the larger
     value) are reported for information only.
     """
-    if not 1 <= depth <= 10:
-        raise ValueError("depth must be in 1..10")
+    depth = as_count("depth", depth, 1, 10)
     violations = []
     min_abs = 1.0
     min_rel = 1.0

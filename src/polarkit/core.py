@@ -1,4 +1,5 @@
-"""Polar encoding, bit-reversal utilities, and bit-level CRC.
+"""Polar encoding, bit-reversal utilities, bit-level CRC, and the package's
+two input rules: `as_bits` for bits and `as_count` for counts.
 
 Bit vectors are 1-D numpy uint8 arrays with values in {0, 1}. Positions are
 0-based in code; file formats and user-facing docs number bits from 1.
@@ -6,6 +7,7 @@ Bit vectors are 1-D numpy uint8 arrays with values in {0, 1}. Positions are
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -14,14 +16,33 @@ import numpy as np
 Bits = np.ndarray
 
 
-def as_bits(seq) -> Bits:
-    """Coerce a 0/1 sequence into a validated uint8 bit array."""
-    bits = np.asarray(seq, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size == 0:
-        raise ValueError("bit vector must be a nonempty 1-D sequence")
-    if bits.max(initial=0) > 1:
-        raise ValueError("bit vector entries must be 0 or 1")
-    return bits
+def as_bits(x, ndims=(1,), error="bit vector must be a nonempty 1-D sequence of 0s and 1s"
+            ) -> Bits:
+    """`x` as a uint8 array, refused with ValueError(error) unless its ndim
+    lies in `ndims`, its last axis is nonempty and every entry is 0 or 1.
+    The entries are checked before the cast, which truncates 0.5 to 0: one
+    max pass on uint8 input."""
+    x = np.asarray(x)
+    if x.ndim not in ndims or not x.shape[-1] or not (
+            x.max(initial=0) <= 1 if x.dtype == np.uint8 else np.isin(x, (0, 1)).all()):
+        raise ValueError(error)
+    return x.astype(np.uint8, copy=False)
+
+
+def as_count(name: str, value, lo: int, hi: int | None = None, span: str | None = None) -> int:
+    """`value` as a Python int in lo..hi (no upper bound for None): any
+    integer, numpy's included, but no bool, float or string. Otherwise a
+    ValueError that names `name`; `span` labels the range in it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < lo or (hi is not None and count > hi):
+        rule = f">= {lo}" if hi is None else f"lie in {span or f'{lo}..{hi}'}"
+        raise ValueError(f"{name} must {rule}, got {count}")
+    return count
 
 
 def _log2_exact(n: int) -> int:
@@ -52,12 +73,7 @@ def polar_transform(u) -> Bits:
     on any host: stages whose half spans whole words XOR word slices, and
     the last three XOR byte j + h into byte j by a shift of 8h under a mask.
     """
-    u = np.asarray(u)
-    # checked before the uint8 cast, which truncates 0.5 to 0
-    bits = u.max(initial=0) <= 1 if u.dtype == np.uint8 else np.isin(u, (0, 1)).all()
-    if u.ndim == 0 or not bits:
-        raise ValueError("polar_transform needs bits (0 or 1) along a last axis")
-    u = u.astype(np.uint8, copy=False)
+    u = as_bits(u, range(1, 65), "polar_transform needs bits (0 or 1) along a last axis")
     # np.take writes a fresh C-ordered array, updated in place below; fancy
     # indexing on the last axis of a batch returns a transposed layout
     x = np.take(u, bitrev_indices(_log2_exact(u.shape[-1])), axis=-1)
@@ -102,15 +118,14 @@ class PolarCode:
 
     def __post_init__(self):
         self.frozen_mask = as_bits(self.frozen_mask)
+        self.n = as_count("n", self.n, 1)
         # n against the mask's length first: 1 << n of a huge n exhausts memory
         if self.n != len(self.frozen_mask).bit_length() - 1 or len(self.frozen_mask) != self.N:
             raise ValueError("frozen_mask length must equal 2**n")
-        if not 0 < self.K < self.N:
-            raise ValueError(f"K must satisfy 0 < K < N, got K={self.K}, N={self.N}")
+        self.K = as_count("K", self.K, 1, self.N - 1)
         if int(self.frozen_mask.sum()) != self.N - self.K:
             raise ValueError("frozen_mask weight must equal N - K")
-        if not 0 <= self.crc_width < self.K:
-            raise ValueError("crc_width must be >= 0 and smaller than K")
+        self.crc_width = as_count("crc_width", self.crc_width, 0, self.K - 1)
 
     @property
     def N(self) -> int:
@@ -135,9 +150,10 @@ def encode(code: PolarCode, info) -> Bits:
     """Codeword of K info bits, or of each row of a (rows, K) bit matrix:
     the info bits fill the non-frozen positions in ascending order, and the
     frozen positions are zero."""
-    info = np.asarray(info, dtype=np.uint8)
-    if info.ndim not in (1, 2) or info.shape[-1] != code.K or info.max(initial=0) > 1:
-        raise ValueError(f"info must be {code.K} bits, or a matrix of {code.K}-bit rows")
+    error = f"info must be {code.K} bits, or a matrix of {code.K}-bit rows"
+    info = as_bits(info, (1, 2), error)
+    if info.shape[-1] != code.K:
+        raise ValueError(error)
     u = np.zeros(info.shape[:-1] + (code.N,), dtype=np.uint8)
     u[..., code.info_positions] = info
     return polar_transform(u)
@@ -164,12 +180,10 @@ class CrcSpec:
     reflect: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.width <= 64:
-            raise ValueError("CRC width must lie in 1..64")
-        if not 0 < self.polynomial < (1 << self.width):
-            raise ValueError("polynomial degree must equal width")
-        if not (0 <= self.init < (1 << self.width) and 0 <= self.xor_out < (1 << self.width)):
-            raise ValueError(f"init and xor_out must lie in 0..2**{self.width} - 1")
+        top = (1 << as_count("CRC width", self.width, 1, 64)) - 1
+        as_count("polynomial", self.polynomial, 1, top, f"1..2**{self.width} - 1")
+        for register in (self.init, self.xor_out):
+            as_count("init and xor_out", register, 0, top, f"0..2**{self.width} - 1")
 
 
 CRC32 = CrcSpec(width=32, polynomial=0x04C11DB7, init=0xFFFFFFFF, xor_out=0xFFFFFFFF)
@@ -229,11 +243,8 @@ def _crc_table(spec: CrcSpec, nbits: int):
 def _bit_rows(bits) -> np.ndarray:
     """`bits` as a matrix of rows, refused unless a nonempty bit vector or a
     matrix of nonempty bit rows (zero rows of them included)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim not in (1, 2) or bits.shape[-1] == 0 or bits.max(initial=0) > 1:
-        raise ValueError("CRC input must be a nonempty bit vector or a matrix of nonempty "
-                         "bit rows")
-    return np.atleast_2d(bits)
+    return np.atleast_2d(as_bits(bits, (1, 2), "CRC input must be a nonempty bit vector or a "
+                                 "matrix of nonempty bit rows"))
 
 
 def crc_remainder_rows(rows, spec: CrcSpec = CRC32) -> np.ndarray:

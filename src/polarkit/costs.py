@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import as_count
 from .patterns import CATALOGS, RATE_R2_PATTERNS, FrozenPattern
 
 METHODS = ("rcc", "dmm", "drh", "dnc81", "dnc9", "lcaml")
@@ -89,8 +90,7 @@ def count_ops(method: str, M: int, q: int) -> CostReport:
         raise ValueError(f"method must be one of {METHODS}")
     if M not in (8, 16):
         raise ValueError("M must be 8 or 16")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    M, q = as_count("M", M, 8, 16), as_count("q", q, 1)  # 8.0 is in (8, 16)
     if method == "lcaml" and M != 8:
         raise ValueError("the six-pattern unit is defined for M=8 only")
 

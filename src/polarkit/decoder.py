@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import BEC_LLR_CLAMP
-from .core import CrcSpec, PolarCode, crc_check_rows, polar_transform
+from .core import CrcSpec, PolarCode, as_count, crc_check_rows, polar_transform
 from .patterns import FrozenPattern, NodeKind, classify_node
 
 LEAF_SPAN = 8
@@ -291,8 +291,7 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     """
     if pattern.kind is not NodeKind.RATE_R2:
         raise ValueError("pattern must classify as a mixed (rate-R-2) node")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q, L = as_count("q", q, 1), as_count("L", L, 1)
     pm = np.asarray(path_metrics, dtype=np.float64)
     single = pm.ndim == 1
     pm = np.atleast_2d(pm)
@@ -622,19 +621,15 @@ class ModeConfig:
             if self.mode == "custom":
                 raise ValueError("custom requires a list size L")
             object.__setattr__(self, "L", self.LIST_SIZES[self.mode])
-        if self.L < 1:
-            raise ValueError("list size L must be >= 1")
+        object.__setattr__(self, "L", as_count("list size L", self.L, 1))
         if self.mode == "mode4_1" and self.theta is None:
             raise ValueError("mode4_1 requires a switching point theta")
         if self.theta is not None:
             if self.mode not in ("mode4_1", "custom"):
                 raise ValueError(f"{self.mode} takes no theta (mode4_1 and custom do)")
-            if self.theta < 0:
-                raise ValueError("theta must be >= 0")
-        if self.q is None:
-            object.__setattr__(self, "q", min(self.L, 1 << LEAF_SPAN))
-        if not 1 <= self.q <= 1 << LEAF_SPAN:
-            raise ValueError("q must lie in 1..2^M")
+            object.__setattr__(self, "theta", as_count("theta", self.theta, 0))
+        q = min(self.L, 1 << LEAF_SPAN) if self.q is None else self.q
+        object.__setattr__(self, "q", as_count("q", q, 1, 1 << LEAF_SPAN, "1..2^M"))
         if self.schedule not in self.SCHEDULES:
             raise ValueError(f"schedule must be one of {self.SCHEDULES}")
 

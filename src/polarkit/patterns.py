@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PolarCode
+from .core import PolarCode, as_bits, as_count
 
 
 class NodeKind(enum.Enum):
@@ -79,11 +79,9 @@ class FrozenPattern:
 
     @classmethod
     def from_mask(cls, mask) -> "FrozenPattern":
-        bits = tuple(int(b) for b in mask)
-        if len(bits) % 2 or not bits:
-            raise ValueError("pattern length must be even and positive")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("pattern entries must be 0 or 1")
+        bits = tuple(as_bits(mask, error="pattern must be a nonempty vector of bits").tolist())
+        if len(bits) % 2:
+            raise ValueError("pattern length must be even")
         o01, o11 = [], []
         for i in range(len(bits) // 2):
             pair = (bits[2 * i], bits[2 * i + 1])
@@ -126,6 +124,7 @@ def extract_patterns(code: PolarCode, M: int):
     """Per-symbol patterns of a code plus the set of distinct mask strings."""
     if M not in (2, 4, 8, 16):
         raise ValueError("M must be one of 2, 4, 8, 16")
+    M = as_count("M", M, 2, 16)  # 8.0 is in (2, 4, 8, 16)
     if code.N % M:
         raise ValueError("M must divide the code length")
     mask = np.asarray(code.frozen_mask)

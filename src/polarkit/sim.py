@@ -46,7 +46,7 @@ from .channel import (
     noise_to_llrs,
     quantize_llr,
 )
-from .core import CrcSpec, PolarCode, crc_append, encode
+from .core import CrcSpec, PolarCode, as_count, crc_append, encode
 from .decoder import ModeConfig, decode_frames
 
 CSV_HEADER = "snr_db,eps,mode,L,q,theta,frames,bit_errors,frame_errors,ber,fer,seed"
@@ -140,18 +140,15 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
     if (0 if crc is None else crc.width) != code.crc_width:
         raise ValueError(f"crc does not match the code's crc_width ({code.crc_width})")
     cfg.switch_point(code.N)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 bits (0 <= seed < 2**64)")
-    if (batch_frames is not None and batch_frames < 1) or max_frames < 1:
-        raise ValueError("batch_frames and max_frames must be >= 1")
-    batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
+    as_count("seed", seed, 0, 2**64 - 1, "0..2**64 - 1")
+    as_count("max_frames", max_frames, 1)
+    batch = (default_batch_frames(code.N) if batch_frames is None
+             else as_count("batch_frames", batch_frames, 1))
     if cfg.L * code.N * batch > _MAX_BATCH_LLRS:
         raise ValueError(f"a stop batch of L*N*batch = {cfg.L}*{code.N}*{batch} LLRs exceeds "
                          "2**25; a smaller --L or --batch-frames gets under it")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if target_fe < 0:
-        raise ValueError("target_fe must be >= 0 (0 disables early stop)")
+    as_count("workers", workers, 1)
+    as_count("target_fe", target_fe, 0)
     if quantize is not None:
         check_quantizer(*quantize)
     return batch
@@ -212,7 +209,7 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
                 break
     else:
         # imported here: single-worker runs and the CLI's start-up skip its cost
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
         inflight = deque()
@@ -226,6 +223,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
                 job = next(pending, None)
                 if job is not None:
                     inflight.append(pool.submit(run, *job))
+        except BrokenExecutor as e:  # an OSError, which the CLI reports as exit 2
+            raise ChildProcessError("a worker process died (killed, or out of memory?)") from e
         finally:
             if inflight:
                 # a stop, an error or Ctrl-C left chunks running whose tallies
@@ -237,8 +236,8 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
             pool.shutdown(wait=True, cancel_futures=True)
     snr = param if channel == "awgn" else None
     eps = param if channel == "bec" else None
-    return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.theta,
-                    frames, bit_errors, frame_errors, seed, code.K)
+    return SimPoint(snr, eps, cfg.mode, cfg.L, cfg.q, cfg.theta, frames, bit_errors,
+                    frame_errors, int(seed), code.K)  # a checked count; JSON takes no numpy int
 
 
 def simulate_sweep(code: PolarCode, cfg: ModeConfig, channel: str, points, *,

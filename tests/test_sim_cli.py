@@ -275,6 +275,26 @@ def test_simulate_stop_ends_running_workers(small_code, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_cli_dead_worker_exits_2(small_code, monkeypatch, tmp_path, capsys):
+    # a worker that dies, as one the out-of-memory killer ends does, fails the
+    # run with exit 2 and one error line, not a BrokenProcessPool traceback
+    _, codefile = small_code
+
+    def dies(*args):
+        os._exit(1)
+
+    # found by name in the workers forked after this patch, as above
+    dies.__module__, dies.__qualname__ = sim.__name__, "_run_chunk"
+    monkeypatch.setattr(sim, "_run_chunk", dies)
+    assert main(["simulate", "--code", str(codefile), "--mode", "mode1", "--snr", "2.0",
+                 "--frames", "100000", "--target-fe", "0", "--workers", "2",
+                 "--out", str(tmp_path / "dead")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a worker process died")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "dead.csv").exists()
+
+
 @pytest.mark.parametrize("channel,param,quant", [
     ("awgn", 2.0, None), ("bec", 0.3, None), ("awgn", 1.0, (4, 0.5))])
 @pytest.mark.parametrize("with_crc", [False, True])
