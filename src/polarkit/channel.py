@@ -132,7 +132,8 @@ def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.nda
 
 def default_quantize_step(bits: int, rate: float) -> float:
     """Quantizer step that saturates at about 4 sigma of the AWGN channel LLR
-    at Eb/N0 = 2 dB."""
+    at Eb/N0 = 2 dB; bits outside 2..1024 raise ValueError, as in quantize_llr."""
+    bits = as_count("quantizer bits", bits, 2, 1024)
     std = 2.0 / np.sqrt(noise_sigma2(2.0, rate))
     return 4.0 * std / (2.0 ** (bits - 1) - 1)
 
@@ -151,10 +152,10 @@ def quantize_llr(llr, bits: int, step: float) -> np.ndarray:
         return np.clip(np.rint(llr / step), -lim, lim) * step
 
 
-def check_quantizer(bits: int, step: float | None) -> None:
+def check_quantizer(bits: int, step: float) -> None:
     """Reject a quantizer of bits outside 2..1024 (past 1024 bits its limit
     2**(bits-1) - 1 is no double) or with a step that is not a finite number
-    > 0; a step of None stands for default_quantize_step, which is one."""
+    > 0, None included."""
     as_count("quantizer bits", bits, 2, 1024)
-    if step is not None and not 0 < step < np.inf:
+    if step is None or not 0 < step < np.inf:
         raise ValueError("quantizer step must be a finite number > 0")

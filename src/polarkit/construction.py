@@ -73,22 +73,27 @@ class ReliabilityTable:
     """Per-level reliability values z[i][j] for 0 <= i <= n, 0 <= j < 2^i.
 
     Larger z is less reliable for the erasure recursion ('bec') and more
-    reliable for the mean-LLR recursion ('awgn-ga')."""
+    reliable for the mean-LLR recursion ('awgn-ga'). _order_keys are the
+    np.lexsort keys of level n, primary key last, that sort it least reliable
+    first: (log(1 - z), -log z) for 'bec', whose log-domain values stay
+    distinct where z rounds to 0 or 1, and (z[n],) for 'awgn-ga'."""
 
     channel: str  # "bec" | "awgn-ga"
     param: float
     n: int
     z: list  # z[i]: float array of length 2**i
-    _order_keys: tuple | None = None  # backing arrays for exact-order sorting
+    _order_keys: tuple
 
     def frozen_order(self) -> np.ndarray:
         """Level-n indices sorted least-reliable first (ties: smaller index)."""
-        idx = np.arange(1 << self.n)
-        if self.channel == "bec":
-            lz, lb = self._order_keys
-            # descending z: primary -lz, then lb ascending, then index
-            return np.lexsort((idx, lb, -lz))
-        return np.lexsort((idx, self.z[self.n]))
+        return np.lexsort((np.arange(1 << self.n), *self._order_keys))
+
+
+def _halves(worse, better) -> np.ndarray:
+    """The next level: child 2j is the worse half of channel j, 2j + 1 the better."""
+    out = np.empty(2 * len(worse))
+    out[0::2], out[1::2] = worse, better
+    return out
 
 
 def bec_reliability(n: int, eps: float) -> ReliabilityTable:
@@ -96,25 +101,15 @@ def bec_reliability(n: int, eps: float) -> ReliabilityTable:
     if not 0.0 < eps < 1.0:
         raise ValueError("erasure probability must lie in (0, 1)")
     n = as_count("n", n, 1)
-    lz = [np.array([np.log(eps)])]
-    lb = [np.array([np.log1p(-eps)])]
+    lz, lb = np.array([np.log(eps)]), np.array([np.log1p(-eps)])  # log z, log(1 - z)
+    z = [np.exp(lz)]
     for _ in range(n):
-        plz, plb = lz[-1], lb[-1]
-        z = np.exp(plz)
         # worse half: z' = z(2 - z), 1 - z' = (1 - z)^2
-        wlz = plz + np.log(2.0) + np.log1p(-0.5 * z)
-        wlb = 2.0 * plb
         # better half: z' = z^2, 1 - z' = (1 - z)(1 + z)
-        blz = 2.0 * plz
-        blb = plb + np.log1p(z)
-        nlz = np.empty(2 * len(plz))
-        nlb = np.empty(2 * len(plz))
-        nlz[0::2], nlz[1::2] = wlz, blz
-        nlb[0::2], nlb[1::2] = wlb, blb
-        lz.append(nlz)
-        lb.append(nlb)
-    zlin = [np.exp(a) for a in lz]
-    return ReliabilityTable("bec", eps, n, zlin, (lz[n], lb[n]))
+        lz, lb = (_halves(lz + np.log(2.0) + np.log1p(-0.5 * z[-1]), 2.0 * lz),
+                  _halves(2.0 * lb, lb + np.log1p(z[-1])))
+        z.append(np.exp(lz))
+    return ReliabilityTable("bec", eps, n, z, (lb, -lz))
 
 
 def ga_reliability(n: int, z0: float) -> ReliabilityTable:
@@ -122,19 +117,13 @@ def ga_reliability(n: int, z0: float) -> ReliabilityTable:
     n = as_count("n", n, 1)
     if not (z0 > 0 and np.isfinite(z0 * 2.0**n)):  # the best channel's mean is z0 * 2**n
         raise ValueError(f"z0 must be a finite number > 0 whose z0 * 2**n is finite, got {z0}")
-    levels = [np.array([float(z0)])]
+    z = [np.array([float(z0)])]
     for _ in range(n):
-        z = levels[-1]
-        lt = log_tau(z)
-        t = np.exp(lt)
+        lt = log_tau(z[-1])
         # log(2t - t^2) = log t + log(2 - t); t may underflow, log1p(-0) is fine
-        ly = lt + np.log(2.0) + np.log1p(-0.5 * t)
-        worse = _tau_inverse_log(ly)
-        better = 2.0 * z
-        nxt = np.empty(2 * len(z))
-        nxt[0::2], nxt[1::2] = worse, better
-        levels.append(nxt)
-    return ReliabilityTable("awgn-ga", z0, n, levels)
+        ly = lt + np.log(2.0) + np.log1p(-0.5 * np.exp(lt))
+        z.append(_halves(_tau_inverse_log(ly), 2.0 * z[-1]))
+    return ReliabilityTable("awgn-ga", z0, n, z, (z[n],))
 
 
 def design_mean_llr(design_snr_db: float) -> float:
@@ -190,12 +179,25 @@ class OrderingReport:
         return not self.violations
 
 
-def _chain_pairs(order, block, count):
-    """Adjacent comparison pairs (larger, smaller) for each block of a level."""
-    for b in range(count):
-        base = b * block
-        for a, c in zip(order, order[1:]):
-            yield base + a, base + c
+def _level_pairs(level: int) -> list:
+    """Comparison pairs (larger, smaller) the claimed orders make at a level
+    of 2**level values: each order's adjacent pairs in every block of its
+    size, then CROSS_16's in every block of 16."""
+    size = 1 << level
+    pairs = [(b + hi, b + lo) for order in (ORDER_2, ORDER_4, ORDER_8, ORDER_16)
+             for b in range(0, size - len(order) + 1, len(order))
+             for hi, lo in zip(order, order[1:])]
+    return pairs + [(b + hi, b + lo) for b in range(0, size - 15, 16) for hi, lo in CROSS_16]
+
+
+def _exact_eps(e) -> Fraction:
+    """Grid value `e` as an exact rational in (0, 1), else ValueError."""
+    try:
+        if 0 < (eps := Fraction(e)) < 1:
+            return eps
+    except (TypeError, ValueError, OverflowError):  # inf, nan, "abc", None
+        pass
+    raise ValueError(f"grid values must be finite numbers in (0, 1), got {e!r}")
 
 
 def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
@@ -220,34 +222,18 @@ def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
     min_rel_l10 = 0.0
     checks = 0
     log2_10 = 3.321928094887362
-    grid = [Fraction(e) if not isinstance(e, Fraction) else e for e in eps_grid]
+    grid = [_exact_eps(e) for e in eps_grid]
+    pairs = [_level_pairs(level) for level in range(depth + 1)]
     for eps in grid:
-        if not 0 < eps < 1:
-            raise ValueError("grid values must lie in (0, 1)")
         num = [eps.numerator]
         den = eps.denominator
         for level in range(1, depth + 1):
-            nxt = []
-            for p in num:
-                nxt.append(2 * p * den - p * p)  # worse half
-                nxt.append(p * p)  # better half
-            num = nxt
+            num = [v for p in num for v in (2 * p * den - p * p, p * p)]  # worse, better half
             den = den * den
-            for j, p in enumerate(num):
-                checks += 1
-                if not 0 < p < den:
-                    violations.append((float(eps), level, j + 1, j + 1))
-            pairs = list(_chain_pairs(ORDER_2, 2, len(num) // 2))
-            if level >= 2:
-                pairs += list(_chain_pairs(ORDER_4, 4, len(num) // 4))
-            if level >= 3:
-                pairs += list(_chain_pairs(ORDER_8, 8, len(num) // 8))
-            if level >= 4:
-                pairs += list(_chain_pairs(ORDER_16, 16, len(num) // 16))
-                pairs += [(b * 16 + hi, b * 16 + lo)
-                          for b in range(len(num) // 16) for hi, lo in CROSS_16]
-            for hi, lo in pairs:
-                checks += 1
+            checks += len(num) + len(pairs[level])
+            violations += [(float(eps), level, j + 1, j + 1)
+                           for j, p in enumerate(num) if not 0 < p < den]
+            for hi, lo in pairs[level]:
                 diff = num[hi] - num[lo]
                 if diff <= 0:
                     violations.append((float(eps), level, hi + 1, lo + 1))
@@ -264,7 +250,9 @@ def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
 # ---------------------------------------------------------------------------
 # Code description files
 
-_HEX = "0123456789abcdef"
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_NIBBLE = np.full(256, 16, dtype=np.uint8)  # ASCII code -> nibble; 16 marks no hex digit
+_NIBBLE[_HEX] = _NIBBLE[np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)] = np.arange(16)
 
 
 def _mask_to_hex(mask: Bits) -> str:
@@ -272,24 +260,24 @@ def _mask_to_hex(mask: Bits) -> str:
 
     Character k encodes positions 4k..4k+3 (0-based); bit j of the nibble is
     position 4k+j. Equivalently: bit i (1-based) of the little-endian integer
-    sum(mask[i-1] << (i-1)) marks position i frozen.
+    sum(mask[i-1] << (i-1)) marks position i frozen. A mask of N = 2 takes
+    one character whose two high bits are 0.
     """
-    out = []
-    for k in range(0, len(mask), 4):
-        nib = int(mask[k]) | int(mask[k + 1]) << 1 | int(mask[k + 2]) << 2 | int(mask[k + 3]) << 3
-        out.append(_HEX[nib])
-    return "".join(out)
+    rows = np.zeros((-(-len(mask) // 4), 4), dtype=np.uint8)
+    rows.flat[:len(mask)] = mask
+    return _HEX[np.packbits(rows, axis=1, bitorder="little")[:, 0]].tobytes().decode()
 
 
 def _mask_from_hex(s: str, N: int) -> Bits:
-    if len(s) * 4 != N:
+    if len(s) != -(-N // 4):
         raise ValueError("hex mask length does not match N")
-    mask = np.zeros(N, dtype=np.uint8)
-    for k, ch in enumerate(s):
-        nib = int(ch, 16)
-        for j in range(4):
-            mask[4 * k + j] = (nib >> j) & 1
-    return mask
+    nibbles = _NIBBLE[np.frombuffer(s.encode("ascii", "replace"), dtype=np.uint8)]
+    if (nibbles > 15).any():  # non-ASCII characters encode as "?"
+        raise ValueError("hex mask holds a character that is not a hex digit")
+    mask = np.unpackbits(nibbles[:, None], axis=1, count=4, bitorder="little").ravel()
+    if mask[N:].any():
+        raise ValueError("hex mask marks a position past N")
+    return mask[:N]
 
 
 def save_code_file(code: PolarCode, path) -> None:

@@ -125,6 +125,16 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, batch, quant, s
             for b in (bad[i:i + batch] for i in range(0, count, batch))]
 
 
+def _quantizer(quantize: tuple | None, rate: float) -> tuple | None:
+    """quantize = (bits, step), checked, with a step of None made
+    default_quantize_step(bits, rate); None, no quantizer, stays None."""
+    if quantize is not None:
+        bits, step = quantize
+        quantize = bits, default_quantize_step(bits, rate) if step is None else step
+        check_quantizer(*quantize)
+    return quantize
+
+
 def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
               crc: CrcSpec | None = None, seed: int = 1, target_fe: int = 100,
               max_frames: int = 100_000, batch_frames: int | None = None,
@@ -149,8 +159,7 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
                          "2**25; a smaller --L or --batch-frames gets under it")
     as_count("workers", workers, 1)
     as_count("target_fe", target_fe, 0)
-    if quantize is not None:
-        check_quantizer(*quantize)
+    _quantizer(quantize, code.rate)
     return batch
 
 
@@ -169,8 +178,7 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     batch = check_run(code, cfg, channel, (param,), crc=crc, seed=seed, target_fe=target_fe,
                       max_frames=max_frames, batch_frames=batch_frames, workers=workers,
                       quantize=quantize)
-    if quantize is not None and quantize[1] is None:
-        quantize = (quantize[0], default_quantize_step(quantize[0], code.rate))
+    quantize = _quantizer(quantize, code.rate)
     full = max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))  # batches per full chunk
     workers = min(workers, -(-max_frames // (full * batch)))
     run = partial(_run_chunk, code, crc, cfg, channel, param, seed, batch, quantize)

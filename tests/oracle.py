@@ -1,7 +1,7 @@
 """Brute-force references for tests: dense-matrix encoding, a bit-serial CRC
-register, the direct form of the Gaussian-approximation contraction tau,
-exhaustive symbol expansion, exhaustive ML decoding, and a bit-serial SC
-decoder.
+register, a nibble-at-a-time code-file mask writer, the direct form of the
+Gaussian-approximation contraction tau, exhaustive symbol expansion,
+exhaustive ML decoding, and a bit-serial SC decoder.
 
 Everything here is intentionally independent of the production decoder (own
 codeword generation, own metric sums, own update formulas) so cross-checks are
@@ -81,6 +81,17 @@ def crc_register_bit_serial(rows: np.ndarray, spec) -> np.ndarray:
             fb = ((reg >> top) ^ rows[:, j].astype(np.uint64)) & one
             reg = ((reg << one) & mask) ^ (fb * poly)
     return (reg ^ np.uint64(spec.xor_out)) & np.uint64((1 << w) - 1)
+
+
+def mask_to_hex_per_nibble(mask) -> str:
+    """Code-file hex of a frozen mask, one nibble per step: character k holds
+    positions 4k..4k+3, position 4k+j in bit j; positions past the mask's end
+    (a mask of N = 2 has two) count as 0."""
+    out = []
+    for k in range(0, len(mask), 4):
+        nib = sum(int(mask[k + j]) << j for j in range(4) if k + j < len(mask))
+        out.append("0123456789abcdef"[nib])
+    return "".join(out)
 
 
 def tau_linear(x: float) -> float:

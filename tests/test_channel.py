@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarkit.channel import (
     awgn_llr,
     check_channel,
+    check_quantizer,
     draw_frames,
     frame_rng,
     noise_sigma2,
@@ -91,6 +92,14 @@ def test_quantize_validation():
                                 (5, np.nan, "step must be a finite number > 0")):
         with pytest.raises(ValueError, match=message):
             quantize_llr([1.0], bits=bits, step=step)
+
+
+def test_quantize_refuses_a_step_of_none():
+    # None stands for the default step only where a run knows its code rate
+    with pytest.raises(ValueError, match="step must be a finite number > 0"):
+        quantize_llr([1.0], 4, None)
+    with pytest.raises(ValueError, match="step must be a finite number > 0"):
+        check_quantizer(4, None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,8 @@
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,15 @@ from polarkit.channel import noise_sigma2
 from polarkit.construction import (
     ORDER_16,
     TAU_X_MAX,
+    _mask_from_hex,
+    _mask_to_hex,
     _tau_inverse_log,
     design_mean_llr,
     log_tau,
     verify_reliability_ordering,
 )
 
-from oracle import tau_linear
+from oracle import mask_to_hex_per_nibble, tau_linear
 
 
 def test_bec_level1_and_level2_hand_values():
@@ -136,6 +141,22 @@ def test_ordering_verifier_spec_grid_depth4():
     assert rep.violations == []
 
 
+def test_ordering_verifier_refuses_grid_values_outside_the_open_unit_interval():
+    # each is refused with the verifier's own message, not the one Fraction
+    # raises (OverflowError for inf, ValueError for nan and "abc")
+    for bad in (math.inf, -math.inf, math.nan, "abc", None, [0.5], 0, 1, 1.5, -0.25,
+                Fraction(3, 2), "1"):
+        with pytest.raises(ValueError, match="grid values must be finite numbers in"):
+            verify_reliability_ordering([Fraction(1, 2), bad], depth=2)
+
+
+def test_ordering_verifier_takes_fractions_and_decimal_strings_exactly():
+    exact = verify_reliability_ordering([Fraction(1, 10), Fraction(1, 3)], depth=5)
+    assert verify_reliability_ordering(["0.1", "1/3"], depth=5) == exact
+    # the float 0.1 is another rational, with other margins
+    assert verify_reliability_ordering([0.1, Fraction(1, 3)], depth=5) != exact
+
+
 def test_ordering_level3_index5_above_index4():
     # 1-based: z_{3,4} < z_{3,5} (the octet order places index 5 above 4)
     z = pk.bec_reliability(3, 0.5).z[3]
@@ -165,3 +186,40 @@ def test_code_file_round_trip(tmp_path, rng):
     assert back.n == code.n and back.K == code.K
     assert np.array_equal(back.frozen_mask, code.frozen_mask)
     assert back.construction.channel == "bec"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_code_file_mask_round_trips_and_matches_the_nibble_writer(n, seed, data):
+    N = 1 << n
+    mask = np.random.default_rng(seed).integers(0, 2, N, dtype=np.uint8)
+    mask[0], mask[-1] = 1, 0  # a code needs a frozen and an information position
+    code = pk.PolarCode(n, N - int(mask.sum()), mask)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "code.json"
+        pk.save_code_file(code, path)
+        text = json.loads(path.read_text())["frozen_mask"]
+        assert np.array_equal(pk.load_code_file(path).frozen_mask, mask)
+    assert text == _mask_to_hex(mask) == mask_to_hex_per_nibble(mask)
+    assert len(text) == -(-N // 4)
+    assert np.array_equal(_mask_from_hex(text.upper(), N), mask)
+    k = data.draw(st.integers(0, len(text) - 1))
+    bad = data.draw(st.characters().filter(lambda c: c not in "0123456789abcdefABCDEF"))
+    for wrong, message in ((text[:k] + bad + text[k + 1:], "not a hex digit"),
+                           (text + "0", "length"), (text[1:], "length")):
+        with pytest.raises(ValueError, match=message):
+            _mask_from_hex(wrong, N)
+
+
+def test_code_file_of_n2_is_one_short_character(tmp_path):
+    code = pk.select_frozen(pk.bec_reliability(1, 0.5), 1)
+    pk.save_code_file(code, tmp_path / "n2.json")
+    assert json.loads((tmp_path / "n2.json").read_text())["frozen_mask"] == "1"
+    assert np.array_equal(pk.load_code_file(tmp_path / "n2.json").frozen_mask, [1, 0])
+    # its two high bits are padding, which must be 0
+    for nibble, ch in enumerate("0123456789abcdef"):
+        if nibble < 4:
+            assert _mask_from_hex(ch, 2).tolist() == [nibble & 1, nibble >> 1]
+        else:
+            with pytest.raises(ValueError, match="past N"):
+                _mask_from_hex(ch, 2)
