@@ -23,7 +23,7 @@ frozen pattern and the schedule:
 
 Path state lives in parallel arrays over (frame batch, list). Nothing keeps
 a global record of prunes: each subtree returns, with its partial sums, the
-path each survivor descends from, and its parent node gathers the two arrays
+path each survivor descends from, and its parent node reorders the two arrays
 it still holds (the node's LLRs after the left child, the left child's
 partial sums after the right child) by those indices. The walk carries no
 input bits: the transform is its own inverse, so u is the transform of the
@@ -34,6 +34,15 @@ best candidate, keyed by its penalty alone: no path moves, and a rate-1 leaf
 is its hard decision. So at list size one 'bitwise' is classic SC on any
 LLRs, and 'fast' differs from it only where the rate-1 and repetition
 shortcuts meet LLRs of zero.
+
+LLR memory: the walk holds one LLR array per depth of the current path. A
+node takes its LLRs over from its parent, which keeps no reference to them,
+and holds them while its left subtree decodes. It then brings them into the
+survivors' path order: in place, in frame blocks of at most _BLOCK_LLRS LLRs,
+where the list kept its size; by a gather into a new array where it grew. g
+is their last reader: the node drops them before its right subtree starts.
+Above _BLOCK_LLRS LLRs, f computes through one scratch block of that size.
+The caller's LLRs are only read: the root holds one path, which never moves.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -70,15 +79,33 @@ def f_llr(a, b):
         return _f(a[None], b[None])[0]  # a leading axis, so 0-d input gives a scalar
 
 
+# Most LLRs one working block of the walk holds: f's scratch above this size,
+# and the temporary of an in-place path permutation.
+_BLOCK_LLRS = 1 << 16
+
+
 def _f(a, b):
     """f_llr on two arrays (ndim >= 1) of one shape, without its input
     handling: the walk's LLRs are clamped finite, so a*b is never NaN."""
-    # two buffers instead of four temporaries: at decoder sizes allocating
-    # fresh memory costs more than the arithmetic
-    out, tmp = np.abs(a), np.abs(b)
-    np.minimum(out, tmp, out=out)
-    np.multiply(a, b, out=tmp)
-    return np.copysign(out, tmp, out=out)
+    out = np.abs(a)
+    if a.size <= _BLOCK_LLRS:
+        # two buffers instead of four temporaries: at decoder sizes allocating
+        # fresh memory costs more than the arithmetic
+        tmp = np.abs(b)
+        np.minimum(out, tmp, out=out)
+        np.multiply(a, b, out=tmp)
+        return np.copysign(out, tmp, out=out)
+    # the same passes in blocks of leading rows through one bounded scratch
+    step = max(1, _BLOCK_LLRS // (a.size // len(a)))
+    scratch = np.empty((min(step, len(a)),) + a.shape[1:])
+    for i in range(0, len(a), step):
+        o, ab, bb = out[i:i + step], a[i:i + step], b[i:i + step]
+        tmp = scratch[:len(o)]
+        np.abs(bb, out=tmp)
+        np.minimum(o, tmp, out=o)
+        np.multiply(ab, bb, out=tmp)
+        np.copysign(o, tmp, out=o)
+    return out
 
 
 def _g(a, b, c):
@@ -377,6 +404,18 @@ def _sc_leaf(x, frozen, pm):
     return c, pm
 
 
+def _permute(alpha, parent):
+    """Reorder the paths of a walk-owned (B, A, n) LLR array in place, path j
+    of frame b taking path parent[b, j], in frame blocks of at most
+    _BLOCK_LLRS LLRs (one frame where a frame holds more)."""
+    B, A, n = alpha.shape
+    step = max(1, _BLOCK_LLRS // (A * n))
+    rows = np.arange(min(step, B))[:, None]
+    for i in range(0, B, step):
+        blk = alpha[i:i + step]
+        blk[...] = blk[rows[:len(blk)], parent[i:i + step]]
+
+
 # ---------------------------------------------------------------------------
 # Schedule (tree plan)
 
@@ -499,13 +538,17 @@ class _ListDecoder:
         sym = np.take_along_axis(np.broadcast_to(syms, pens.shape), best, -1)[..., 0]
         return node.codewords[sym]
 
-    def _walk(self, node, alpha):
-        """Decode the subtree under `node` from its LLRs `alpha`, given in
-        the path order at entry. Returns (c, parents): the partial sums of
-        the surviving paths, and for each survivor the entry path it
-        descends from (None where no prune moved a path). A path axis of
-        length one holds one value for every path; it broadcasts. A leaf
-        where paths decode alone goes to `_pick`; no path moves there."""
+    def _walk(self, node, held):
+        """Decode the subtree under `node` from its LLRs, the one array in
+        the list `held`, given in the path order at entry. The walk takes the
+        array out of `held` and owns it from then on: where the caller keeps
+        no other reference, it is freed once its last reader is done. Returns
+        (c, parents): the partial sums of the surviving paths, and for each
+        survivor the entry path it descends from (None where no prune moved a
+        path). A path axis of length one holds one value for every path; it
+        broadcasts. A leaf where paths decode alone goes to `_pick`; no path
+        moves there."""
+        alpha = held.pop()
         if isinstance(node, _Leaf):
             if node.kind is NodeKind.RATE0:
                 self._pm = self._pm + rate0_penalty(alpha)
@@ -515,16 +558,21 @@ class _ListDecoder:
             sym, parent = self._select(*self._expand(node, alpha))
             return node.codewords[sym], parent
         rows = self._rows
-        c_left, p_left = self._walk(node.left, _f(alpha[..., 0::2], alpha[..., 1::2]))
+        c_left, p_left = self._walk(node.left, [_f(alpha[..., 0::2], alpha[..., 1::2])])
         if p_left is not None and alpha.shape[1] != 1:
-            alpha = alpha[rows, p_left]
-        c_right, p_right = self._walk(node.right, _g(alpha[..., 0::2], alpha[..., 1::2], c_left))
+            if alpha.shape[1] == p_left.shape[1]:
+                _permute(alpha, p_left)
+            else:
+                alpha = alpha[rows, p_left]
+        right = [_g(alpha[..., 0::2], alpha[..., 1::2], c_left)]
+        del alpha  # g was its last reader
+        c_right, p_right = self._walk(node.right, right)
         parents = p_left
         if p_right is not None:
             if c_left.shape[1] != 1:
                 c_left = c_left[rows, p_right]
             parents = p_right if p_left is None else p_left[rows, p_right]
-        c = np.empty((alpha.shape[0], max(c_left.shape[1], c_right.shape[1]), node.span),
+        c = np.empty((c_right.shape[0], max(c_left.shape[1], c_right.shape[1]), node.span),
                      dtype=np.uint8)
         c[..., 0::2] = c_left ^ c_right
         c[..., 1::2] = c_right
@@ -540,13 +588,15 @@ class _ListDecoder:
         if np.isnan(lo):
             raise ValueError("LLRs must not be NaN")
         B = llrs.shape[0]
-        # the walk never writes alpha, so in-range input is walked without a copy
+        # the walk writes only arrays it made, so in-range input is walked
+        # without a copy
         if not -BEC_LLR_CLAMP <= lo <= hi <= BEC_LLR_CLAMP:
             llrs = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
-        alpha = llrs[:, None, :]
+        held = [llrs[:, None, :]]
+        del llrs  # a clamped copy is freed after the root's last read of it
         self._rows = np.arange(B)[:, None]
         self._pm = np.zeros((B, 1))
-        c_all, _ = self._walk(self.tree, alpha)
+        c_all, _ = self._walk(self.tree, held)
         return self._pick_winner(c_all, self._pm, crc)
 
     def _pick_winner(self, c_all, pm_all, crc):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,6 +12,7 @@ from polarkit.channel import BEC_LLR_CLAMP, default_quantize_step, quantize_llr
 from polarkit.core import CRC32, CrcSpec, crc_check_rows
 from polarkit.decoder import (
     ModeConfig,
+    _BLOCK_LLRS,
     _Branch,
     _ListDecoder,
     _build_tree,
@@ -634,6 +636,45 @@ def test_decode_never_writes_its_input(kind, rng):
         for a, b in zip(got, want):
             assert np.array_equal(a, b), kw
     assert frozen.tobytes() == llrs.tobytes()
+
+
+@pytest.mark.parametrize("config", _DECODE_CONFIGS + ["L8_crc32", "mode4_1_crc32"], ids=str)
+def test_decode_reads_a_read_only_array_above_the_block_size(config, rng):
+    # 300 frames of N = 512: f and the in-place path permutation both run in
+    # several blocks, and none of them may write the caller's array
+    code = pk.select_frozen(pk.bec_reliability(9, 0.5), 256, crc_width=32)
+    _, llrs = make_noisy_frames(code, 300, 2.0, rng, crc=CRC32)
+    assert llrs.size // 2 > _BLOCK_LLRS
+    if config == "L8_crc32":
+        kw = dict(L=8, crc=CRC32)
+    elif config == "mode4_1_crc32":  # mode4_1 is L = 4 with a switching point
+        kw = dict(L=4, theta=code.N // 2, crc=CRC32)
+    else:
+        kw = _decode_kw(config, code.N)
+    frozen = llrs.copy()
+    frozen.setflags(write=False)
+    got = decode_frames(code, frozen, **kw)
+    want = decode_frames(code, llrs.copy(), **kw)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert frozen.tobytes() == llrs.tobytes()
+
+
+def test_list_walk_peaks_under_nine_bytes_per_llr(rng):
+    """One decode of the benchmark's list8 code holds little more than one
+    LLR array per depth of the current path, 8 bytes per LLR of L*N*frames
+    in all: its traced peak stays under 9 bytes per LLR."""
+    code = pk.select_frozen(pk.bec_reliability(11, 0.32), 1433, crc_width=32)
+    frames, L = 16, 8
+    _, llrs = make_noisy_frames(code, frames, 3.2, rng, crc=CRC32)
+    decode_frames(code, llrs[:1], L=L, q=4, crc=CRC32)  # builds the cached schedule
+    tracemalloc.start()
+    try:
+        decode_frames(code, llrs, L=L, q=4, crc=CRC32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (L * code.N * frames) < 9.0
 
 
 def test_tiny_codes_decode(rng):

@@ -188,6 +188,45 @@ def test_g_llr_matches_formula_bytes(kind, paths, seed):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def two_buffer_f(a, b):
+    """The walk's f as it computes at or below the block size."""
+    out, tmp = np.abs(a), np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.multiply(a, b, out=tmp)
+    return np.copysign(out, tmp, out=out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(40, 8, 300), (3, 2, 40000)]), st.integers(0, 2**32 - 1))
+def test_blocked_f_equals_two_buffer_form(shape, seed):
+    # above the block size f works in blocks of leading rows, or row by row
+    # where one row is larger; the walk hands it even/odd views
+    rng = np.random.default_rng(seed)
+    x = rng.choice([0.0, -0.0, 1e30, -1e30, 1.0, -1.0, 2.5, -2.5], shape[:-1] + (2 * shape[-1],))
+    a, b = x[..., 0::2], x[..., 1::2]
+    assert a.size > decoder._BLOCK_LLRS
+    got, want = decoder._f(a, b), two_buffer_f(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 700])
+def test_decode_identical_at_any_block_size(block, rng, monkeypatch):
+    """Blocked f and in-place path permutation give the bytes of one block."""
+    code = pk.select_frozen(pk.bec_reliability(8, 0.4), 150, crc_width=32)
+    _, llrs = make_noisy_frames(code, 20, 2.0, rng, crc=pk.CRC32)
+    configs = [dict(L=1), dict(L=8, q=4, crc=pk.CRC32), dict(L=4, theta=128),
+               dict(L=8, schedule="dnc"), dict(L=4, schedule="bitwise")]
+    monkeypatch.setattr(decoder, "_BLOCK_LLRS", 1 << 30)
+    want = [decoder.decode_frames(code, llrs, **cfg) for cfg in configs]
+    monkeypatch.setattr(decoder, "_BLOCK_LLRS", block)
+    got = [decoder.decode_frames(code, llrs, **cfg) for cfg in configs]
+    for (u1, pm1, ok1), (u2, pm2, ok2) in zip(got, want):
+        assert u1.tobytes() == u2.tobytes()
+        assert pm1.tobytes() == pm2.tobytes()
+        assert np.array_equal(ok1, ok2)
+
+
 @pytest.mark.parametrize("llr_kind", ["awgn", "bec", "quantized"])
 def test_decode_identical_with_oracle_kernels(llr_kind, rng, monkeypatch):
     """Whole decodes are byte-identical with the sort-based kernels."""
