@@ -41,7 +41,7 @@ and holds them while its left subtree decodes. It then brings them into the
 survivors' path order: in place, in frame blocks of at most _BLOCK_LLRS LLRs,
 where the list kept its size; by a gather into a new array where it grew. g
 is their last reader: the node drops them before its right subtree starts.
-Above _BLOCK_LLRS LLRs, f computes through one scratch block of that size.
+f computes through one scratch block of at most _BLOCK_LLRS LLRs.
 The caller's LLRs are only read: the root holds one path, which never moves.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
@@ -54,6 +54,7 @@ symbol value for repetition/single-bit leaves, and enumeration order
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,24 +80,20 @@ def f_llr(a, b):
         return _f(a[None], b[None])[0]  # a leading axis, so 0-d input gives a scalar
 
 
-# Most LLRs one working block of the walk holds: f's scratch above this size,
-# and the temporary of an in-place path permutation.
+# Most LLRs one working block of the walk holds: f's scratch, and the
+# temporary of an in-place path permutation.
 _BLOCK_LLRS = 1 << 16
 
 
 def _f(a, b):
     """f_llr on two arrays (ndim >= 1) of one shape, without its input
     handling: the walk's LLRs are clamped finite, so a*b is never NaN."""
+    # two buffers instead of four temporaries: at decoder sizes allocating
+    # fresh memory costs more than the arithmetic. The second is a scratch of
+    # at most _BLOCK_LLRS LLRs (or one row): the passes run over blocks of
+    # leading rows, one block where the whole array fits
     out = np.abs(a)
-    if a.size <= _BLOCK_LLRS:
-        # two buffers instead of four temporaries: at decoder sizes allocating
-        # fresh memory costs more than the arithmetic
-        tmp = np.abs(b)
-        np.minimum(out, tmp, out=out)
-        np.multiply(a, b, out=tmp)
-        return np.copysign(out, tmp, out=out)
-    # the same passes in blocks of leading rows through one bounded scratch
-    step = max(1, _BLOCK_LLRS // (a.size // len(a)))
+    step = max(1, _BLOCK_LLRS // max(1, math.prod(a.shape[1:])))
     scratch = np.empty((min(step, len(a)),) + a.shape[1:])
     for i in range(0, len(a), step):
         o, ab, bb = out[i:i + step], a[i:i + step], b[i:i + step]
@@ -542,7 +539,10 @@ class _ListDecoder:
         """Decode the subtree under `node` from its LLRs, the one array in
         the list `held`, given in the path order at entry. The walk takes the
         array out of `held` and owns it from then on: where the caller keeps
-        no other reference, it is freed once its last reader is done. Returns
+        no other reference, it is freed once its last reader is done. (A
+        plain argument stays referenced by the caller until the call
+        returns: under the name that holds g's output while the caller drops
+        its own LLRs, and before Python 3.11 on the caller's stack.) Returns
         (c, parents): the partial sums of the surviving paths, and for each
         survivor the entry path it descends from (None where no prune moved a
         path). A path axis of length one holds one value for every path; it

@@ -620,43 +620,27 @@ def test_decode_rejects_nan_llrs(rng):
         decode_frames(code, llrs, L=4)
 
 
-@pytest.mark.parametrize("kind", ["in_range", "infinite"])
-def test_decode_never_writes_its_input(kind, rng):
-    code = pk.select_frozen(pk.bec_reliability(7, 0.5), 72, crc_width=32)
-    _, llrs = make_noisy_frames(code, 24, 2.0, rng, crc=CRC32)
+@pytest.mark.parametrize("kind, n, K, frames", [("in_range", 7, 72, 24), ("infinite", 7, 72, 24),
+                                                 ("above_block", 9, 256, 300)],
+                         ids=["in_range", "infinite", "above_block"])
+def test_decode_never_writes_its_input(kind, n, K, frames, rng):
+    code = pk.select_frozen(pk.bec_reliability(n, 0.5), K, crc_width=32)
+    _, llrs = make_noisy_frames(code, frames, 2.0, rng, crc=CRC32)
     if kind == "infinite":
         llrs[rng.random(llrs.shape) < 0.2] = np.inf
         llrs[rng.random(llrs.shape) < 0.2] = -np.inf
+    elif kind == "above_block":
+        # f and the in-place path permutation both run in several blocks
+        assert llrs.size // 2 > _BLOCK_LLRS
     frozen = llrs.copy()
     frozen.setflags(write=False)
-    for kw in (dict(L=1), dict(L=4, crc=CRC32), dict(L=4, schedule="bitwise"),
-               dict(L=4, theta=64, crc=CRC32), dict(L=8, q=4, crc=CRC32)):
+    for kw in [_decode_kw(config, code.N) for config in _DECODE_CONFIGS] + [
+            dict(L=4, crc=CRC32), dict(L=4, theta=code.N // 2, crc=CRC32),
+            dict(L=8, crc=CRC32), dict(L=8, q=4, crc=CRC32)]:
         got = decode_frames(code, frozen, **kw)
         want = decode_frames(code, llrs.copy(), **kw)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), kw
-    assert frozen.tobytes() == llrs.tobytes()
-
-
-@pytest.mark.parametrize("config", _DECODE_CONFIGS + ["L8_crc32", "mode4_1_crc32"], ids=str)
-def test_decode_reads_a_read_only_array_above_the_block_size(config, rng):
-    # 300 frames of N = 512: f and the in-place path permutation both run in
-    # several blocks, and none of them may write the caller's array
-    code = pk.select_frozen(pk.bec_reliability(9, 0.5), 256, crc_width=32)
-    _, llrs = make_noisy_frames(code, 300, 2.0, rng, crc=CRC32)
-    assert llrs.size // 2 > _BLOCK_LLRS
-    if config == "L8_crc32":
-        kw = dict(L=8, crc=CRC32)
-    elif config == "mode4_1_crc32":  # mode4_1 is L = 4 with a switching point
-        kw = dict(L=4, theta=code.N // 2, crc=CRC32)
-    else:
-        kw = _decode_kw(config, code.N)
-    frozen = llrs.copy()
-    frozen.setflags(write=False)
-    got = decode_frames(code, frozen, **kw)
-    want = decode_frames(code, llrs.copy(), **kw)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
     assert frozen.tobytes() == llrs.tobytes()
 
 

@@ -189,7 +189,7 @@ def test_g_llr_matches_formula_bytes(kind, paths, seed):
 
 
 def two_buffer_f(a, b):
-    """The walk's f as it computes at or below the block size."""
+    """f in two whole-array buffers, the form blocked f must match."""
     out, tmp = np.abs(a), np.abs(b)
     np.minimum(out, tmp, out=out)
     np.multiply(a, b, out=tmp)
