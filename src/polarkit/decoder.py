@@ -23,26 +23,32 @@ frozen pattern and the schedule:
 
 Path state lives in parallel arrays over (frame batch, list). Nothing keeps
 a global record of prunes: each subtree returns, with its partial sums, the
-path each survivor descends from, and its parent node reorders the two arrays
-it still holds (the node's LLRs after the left child, the left child's
-partial sums after the right child) by those indices. The walk carries no
-input bits: the transform is its own inverse, so u is the transform of the
-root's partial sums. One walk serves the list and lone paths; each leaf
-decides which it is. Where paths decode alone (list size one, or a leaf that
-starts at or past the mode4_1 switching point) it takes every path's own
-best candidate, keyed by its penalty alone: no path moves, and a rate-1 leaf
-is its hard decision. So at list size one 'bitwise' is classic SC on any
-LLRs, and 'fast' differs from it only where the rate-1 and repetition
-shortcuts meet LLRs of zero.
+path each survivor descends from, and its parent node applies those indices
+to what it still holds: it reads its LLRs in that order after the left
+child, and reorders the left child's partial sums after the right child. The
+walk carries no input bits: the transform is its own inverse, so u is the
+transform of the root's partial sums. One walk serves the list and lone
+paths; each leaf decides which it is. Where paths decode alone (list size
+one, or a leaf that starts at or past the mode4_1 switching point) it takes
+every path's own best candidate, keyed by its penalty alone: no path moves,
+and a rate-1 leaf is its hard decision. So at list size one 'bitwise' is
+classic SC on any LLRs, and 'fast' differs from it only where the rate-1 and
+repetition shortcuts meet LLRs of zero.
 
-LLR memory: the walk holds one LLR array per depth of the current path. A
-node takes its LLRs over from its parent, which keeps no reference to them,
-and holds them while its left subtree decodes. It then brings them into the
-survivors' path order: in place, in frame blocks of at most _BLOCK_LLRS LLRs,
-where the list kept its size; by a gather into a new array where it grew. g
-is their last reader: the node drops them before its right subtree starts.
-f computes through one scratch block of at most _BLOCK_LLRS LLRs.
-The caller's LLRs are only read: the root holds one path, which never moves.
+LLR memory: the walk holds one node's LLRs per depth of the current path. A
+node takes them over from its parent, which keeps no reference to them,
+holds them while its left subtree decodes, and drops them before its right
+subtree starts. Every branch reads its LLRs through `_read`, in frame blocks
+of at most _BLOCK_LLRS LLRs, and writes f's or g's output block by block; g
+applies the survivors' path order as it reads, one gathered block at a time.
+Where the list fans out, a node's LLRs are a pair instead of an array: a
+branch whose LLRs hold one path, whose left child's partial sums c hold three
+paths or more and whose right child is a branch hands that child its own
+LLRs and c instead of g of them (16 + A bytes per frame and position against
+8A), and the child's reads compute g block by block, reordering c instead of
+LLRs. Nothing the walk is given is written: neither the caller's LLRs nor a
+pair's c, which the node that made the pair still reads for its own partial
+sums.
 
 Metric convention: penalties are nonnegative; the path metric accumulates
 |llr| over positions where a hypothesis disagrees with the hard decision
@@ -54,7 +60,6 @@ symbol value for repetition/single-bit leaves, and enumeration order
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -80,43 +85,71 @@ def f_llr(a, b):
         return _f(a[None], b[None])[0]  # a leading axis, so 0-d input gives a scalar
 
 
-# Most LLRs one working block of the walk holds: f's scratch, and the
-# temporary of an in-place path permutation.
+# Most LLRs of a node one block of `_read` holds.
 _BLOCK_LLRS = 1 << 16
 
 
-def _f(a, b):
+def _f(a, b, out=None):
     """f_llr on two arrays (ndim >= 1) of one shape, without its input
     handling: the walk's LLRs are clamped finite, so a*b is never NaN."""
     # two buffers instead of four temporaries: at decoder sizes allocating
-    # fresh memory costs more than the arithmetic. The second is a scratch of
-    # at most _BLOCK_LLRS LLRs (or one row): the passes run over blocks of
-    # leading rows, one block where the whole array fits
-    out = np.abs(a)
-    step = max(1, _BLOCK_LLRS // max(1, math.prod(a.shape[1:])))
-    scratch = np.empty((min(step, len(a)),) + a.shape[1:])
-    for i in range(0, len(a), step):
-        o, ab, bb = out[i:i + step], a[i:i + step], b[i:i + step]
-        tmp = scratch[:len(o)]
-        np.abs(bb, out=tmp)
-        np.minimum(o, tmp, out=o)
-        np.multiply(ab, bb, out=tmp)
-        np.copysign(o, tmp, out=o)
+    # fresh memory costs more than the arithmetic
+    out = np.abs(a, out=out)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.multiply(a, b, out=tmp)
+    return np.copysign(out, tmp, out=out)
+
+
+def _g(a, b, c, out=None):
+    """Variable-node update b + (1 - 2c) * a into `out` (new where None) of
+    the broadcast shape: LLRs a and b of one (frames, paths, n) shape, and
+    uint8 partial sums c in {0, 1} of (frames, paths', n), one of the two
+    path counts being 1 where they differ. (1 - 2c) * a is a with its sign
+    bit flipped where c = 1, exactly, so three passes give the bytes of the
+    formula."""
+    if out is None:
+        # the path axes decide, not the sizes: two empty batches have size 0
+        out = np.empty(c.shape if c.shape[1] >= a.shape[1] else a.shape)
+    u = out.view(np.uint64)
+    # the sign bits go straight into out where c has its shape
+    sign = np.left_shift(c, 63, dtype=np.uint64, out=u if c.shape == u.shape else None)
+    np.bitwise_xor(sign, a.view(np.uint64), out=u)
+    out += b
     return out
 
 
-def _g(a, b, c):
-    """Variable-node update b + (1 - 2c) * a, in one buffer of the broadcast
-    shape: LLRs a and b of one (frames, paths, n) shape, and uint8 partial
-    sums c in {0, 1} of (frames, paths', n), one of the two path counts
-    being 1 where they differ. (1 - 2c) * a is a with its sign bit flipped
-    where c = 1, exactly, so three passes give the bytes of the formula."""
-    sign = np.left_shift(c, 63, dtype=np.uint64)
-    # the path axes decide, not the sizes: two empty batches have size 0
-    out = np.bitwise_xor(sign, a.view(np.uint64),
-                         out=sign if sign.shape[1] >= a.shape[1] else None)
-    out = out.view(np.float64)
-    out += b
+def _read(llrs, parent=None, c=None):
+    """f of a node's LLRs or, given its left child's partial sums c, their g
+    after the survivors' reorder: path j of frame b reads path parent[b, j]
+    (parent None: no path moved). `llrs` is a (B, A, n) array or a fan-out
+    pair (up, c_up), the one-path parent's (B, 1, 2n) LLRs and its left
+    child's (B, A, n) partial sums, which stands for g of up's even and odd
+    halves and c_up. Works in frame blocks of at most _BLOCK_LLRS of the
+    node's LLRs (one frame where a frame holds more) and writes nothing it
+    is given: the reorder gathers a block of the LLRs, or of c_up."""
+    pair = type(llrs) is tuple
+    B, A, n = (llrs[1] if pair else llrs).shape
+    if A == 1:
+        parent = None  # one path broadcasts: no order to apply
+    paths = A if parent is None else parent.shape[1]
+    if c is not None and c.shape[1] > paths:
+        paths = c.shape[1]
+    out = np.empty((B, paths, n // 2))
+    step = _BLOCK_LLRS // (paths * n) or 1
+    for i in range(0, B, step):
+        s = slice(i, i + step)
+        o = out[s]
+        x = llrs[1][s] if pair else llrs[s]  # a pair reorders its c_up
+        if parent is not None:
+            x = x[np.arange(len(o))[:, None], parent[s]]
+        if pair:
+            up = llrs[0][s]
+            x = _g(up[..., 0::2], up[..., 1::2], x)
+        if c is None:
+            _f(x[..., 0::2], x[..., 1::2], o)
+        else:
+            _g(x[..., 0::2], x[..., 1::2], c[s], o)
     return out
 
 
@@ -401,18 +434,6 @@ def _sc_leaf(x, frozen, pm):
     return c, pm
 
 
-def _permute(alpha, parent):
-    """Reorder the paths of a walk-owned (B, A, n) LLR array in place, path j
-    of frame b taking path parent[b, j], in frame blocks of at most
-    _BLOCK_LLRS LLRs (one frame where a frame holds more)."""
-    B, A, n = alpha.shape
-    step = max(1, _BLOCK_LLRS // (A * n))
-    rows = np.arange(min(step, B))[:, None]
-    for i in range(0, B, step):
-        blk = alpha[i:i + step]
-        blk[...] = blk[rows[:len(blk)], parent[i:i + step]]
-
-
 # ---------------------------------------------------------------------------
 # Schedule (tree plan)
 
@@ -536,10 +557,11 @@ class _ListDecoder:
         return node.codewords[sym]
 
     def _walk(self, node, held):
-        """Decode the subtree under `node` from its LLRs, the one array in
-        the list `held`, given in the path order at entry. The walk takes the
-        array out of `held` and owns it from then on: where the caller keeps
-        no other reference, it is freed once its last reader is done. (A
+        """Decode the subtree under `node` from its LLRs, the one entry of
+        the list `held` (an array, or at a branch a fan-out pair; see
+        `_read`), given in the path order at entry. The walk takes them out
+        of `held` and owns them from then on: where the caller keeps no
+        other reference, they are freed once their last reader is done. (A
         plain argument stays referenced by the caller until the call
         returns: under the name that holds g's output while the caller drops
         its own LLRs, and before Python 3.11 on the caller's stack.) Returns
@@ -558,14 +580,13 @@ class _ListDecoder:
             sym, parent = self._select(*self._expand(node, alpha))
             return node.codewords[sym], parent
         rows = self._rows
-        c_left, p_left = self._walk(node.left, [_f(alpha[..., 0::2], alpha[..., 1::2])])
-        if p_left is not None and alpha.shape[1] != 1:
-            if alpha.shape[1] == p_left.shape[1]:
-                _permute(alpha, p_left)
-            else:
-                alpha = alpha[rows, p_left]
-        right = [_g(alpha[..., 0::2], alpha[..., 1::2], c_left)]
-        del alpha  # g was its last reader
+        c_left, p_left = self._walk(node.left, [_read(alpha)])
+        if (type(alpha) is not tuple and alpha.shape[1] == 1 and c_left.shape[1] >= 3
+                and isinstance(node.right, _Branch)):
+            right = [(alpha, c_left)]  # the list fans out: the right child's reads make g
+        else:
+            right = [_read(alpha, p_left, c_left)]
+        del alpha  # only g, or the fan-out pair, still needs it
         c_right, p_right = self._walk(node.right, right)
         parents = p_left
         if p_right is not None:

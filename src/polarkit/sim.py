@@ -58,8 +58,8 @@ _FLOAT_COLUMNS = {"snr_db", "eps", "ber", "fer"}  # written as repr(float)
 _CHUNK_LLRS = 1 << 17
 
 # Most LLRs (L * N per frame) one stop batch may hold: a decode call takes one
-# batch at least and raises the resident set by 7-9 bytes per LLR (README,
-# "Batch size bound"), so 2**25 stays near 300 MB.
+# batch at least and raises the resident set by 3-5 bytes per LLR (README,
+# "Batch size bound"), so 2**25 stays near 160 MB.
 _MAX_BATCH_LLRS = 1 << 25
 
 

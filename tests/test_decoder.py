@@ -552,7 +552,7 @@ def test_crc_failure_still_returns_word(rng):
     assert ok.dtype == bool
 
 
-@pytest.mark.parametrize("L", [1, 2, 4])
+@pytest.mark.parametrize("L", [1, 2, 4, 8])
 @pytest.mark.parametrize("crc", [None, CRC32])
 def test_zero_frame_batch_decodes_to_empty_results(L, crc):
     # on the longer codes a g whose partial sums hold more paths than its
@@ -630,7 +630,7 @@ def test_decode_never_writes_its_input(kind, n, K, frames, rng):
         llrs[rng.random(llrs.shape) < 0.2] = np.inf
         llrs[rng.random(llrs.shape) < 0.2] = -np.inf
     elif kind == "above_block":
-        # f and the in-place path permutation both run in several blocks
+        # f and g both read the LLRs in several blocks
         assert llrs.size // 2 > _BLOCK_LLRS
     frozen = llrs.copy()
     frozen.setflags(write=False)
@@ -644,21 +644,31 @@ def test_decode_never_writes_its_input(kind, n, K, frames, rng):
     assert frozen.tobytes() == llrs.tobytes()
 
 
-def test_list_walk_peaks_under_nine_bytes_per_llr(rng):
-    """One decode of the benchmark's list8 code holds little more than one
-    LLR array per depth of the current path, 8 bytes per LLR of L*N*frames
-    in all: its traced peak stays under 9 bytes per LLR."""
+def _traced_bytes_per_llr(L, frames, rng):
+    """Traced peak of one decode of the benchmark's list8 code at q = 4, per
+    LLR of L*N*frames, after a one-frame decode has built the schedule."""
     code = pk.select_frozen(pk.bec_reliability(11, 0.32), 1433, crc_width=32)
-    frames, L = 16, 8
     _, llrs = make_noisy_frames(code, frames, 3.2, rng, crc=CRC32)
-    decode_frames(code, llrs[:1], L=L, q=4, crc=CRC32)  # builds the cached schedule
+    decode_frames(code, llrs[:1], L=L, q=4, crc=CRC32)
     tracemalloc.start()
     try:
         decode_frames(code, llrs, L=L, q=4, crc=CRC32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (L * code.N * frames) < 9.0
+    return peak / (L * code.N * frames)
+
+
+def test_list_walk_peaks_under_nine_bytes_per_llr(rng):
+    """One decode holds little more than one LLR array per depth of the
+    current path, 8 bytes per LLR of L*N*frames in all."""
+    assert _traced_bytes_per_llr(8, 16, rng) < 9.0
+
+
+def test_fanned_out_list_peaks_under_six_and_a_half_bytes_per_llr(rng):
+    """Where the list fans out, a node holds its one-path parent's LLRs and
+    its sibling's partial sums instead of L copies of g of them."""
+    assert _traced_bytes_per_llr(32, 8, rng) < 6.5
 
 
 def test_tiny_codes_decode(rng):

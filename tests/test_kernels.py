@@ -78,8 +78,13 @@ def oracle_rate1_candidates(alpha):
     return pens, cw_vals
 
 
-def oracle_f_llr(a, b):
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+def oracle_f_llr(a, b, out=None):
+    """The sign form of f; into `out` where given, as the walk's f writes."""
+    f = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    if out is None:
+        return f
+    out[...] = f
+    return out
 
 
 def draw_llrs(kind, shape, rng):
@@ -182,40 +187,64 @@ def test_g_llr_matches_formula_bytes(kind, paths, seed):
     a_paths, c_paths = paths
     a, b = draw_llrs(kind, (2, a_paths, 16), rng), draw_llrs(kind, (2, a_paths, 16), rng)
     c = rng.integers(0, 2, (2, c_paths, 16), dtype=np.uint8)
-    got = _g(a, b, c)
-    want = b + (1 - 2 * c.astype(np.int64)) * a
+    got, want = _g(a, b, c), formula_g(a, b, c)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def formula_g(a, b, c):
+    return b + (1 - 2 * c.astype(np.int64)) * a
+
+
 def two_buffer_f(a, b):
-    """f in two whole-array buffers, the form blocked f must match."""
+    """f in two whole-array buffers, the form the walk's blocked f must match."""
     out, tmp = np.abs(a), np.abs(b)
     np.minimum(out, tmp, out=out)
     np.multiply(a, b, out=tmp)
     return np.copysign(out, tmp, out=out)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from([(40, 8, 300), (3, 2, 40000)]), st.integers(0, 2**32 - 1))
-def test_blocked_f_equals_two_buffer_form(shape, seed):
-    # above the block size f works in blocks of leading rows, or row by row
-    # where one row is larger; the walk hands it even/odd views
-    rng = np.random.default_rng(seed)
-    x = rng.choice([0.0, -0.0, 1e30, -1e30, 1.0, -1.0, 2.5, -2.5], shape[:-1] + (2 * shape[-1],))
-    a, b = x[..., 0::2], x[..., 1::2]
-    assert a.size > decoder._BLOCK_LLRS
-    got, want = decoder._f(a, b), two_buffer_f(a, b)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+# blocks of one frame (which holds more LLRs than the block), of a few frames,
+# and one block
+@pytest.mark.parametrize("block", [1, 200, 1 << 16])
+@pytest.mark.parametrize("form, A, survivors", [("array", 1, 6), ("array", 4, 4),
+                                                ("array", 4, 6), ("pair", 4, 4), ("pair", 3, 6)])
+def test_read_in_blocks_equals_whole_array_forms(form, A, survivors, block, rng, monkeypatch):
+    """`_read` gives f, and g after the survivors' gather, of an array or a
+    fan-out pair in frame blocks, with the bytes of the whole-array forms,
+    and writes none of its inputs."""
+    values = [0.0, -0.0, 1e30, -1e30, 1.0, -1.0, 2.5, -2.5]  # zeros, ties, cancellations
+    B, n = 37, 16
+    if form == "pair":
+        up = rng.choice(values, (B, 1, 2 * n))
+        c_up = rng.integers(0, 2, (B, A, n), dtype=np.uint8)
+        llrs, x = (up, c_up), formula_g(up[..., 0::2], up[..., 1::2], c_up)
+    else:
+        llrs = x = rng.choice(values, (B, A, n))
+    parent = rng.integers(0, A, (B, survivors))
+    c = rng.integers(0, 2, (B, survivors, n // 2), dtype=np.uint8)
+    inputs = llrs if form == "pair" else (llrs,)
+    before = [a.tobytes() for a in inputs]
+    monkeypatch.setattr(decoder, "_BLOCK_LLRS", block)
+    got_f, got_g = decoder._read(llrs), decoder._read(llrs, parent, c)
+    xg = x if A == 1 else x[np.arange(B)[:, None], parent]  # one path broadcasts
+    want_f = two_buffer_f(x[..., 0::2], x[..., 1::2])
+    want_g = formula_g(xg[..., 0::2], xg[..., 1::2], c)
+    for got, want in ((got_f, want_f), (got_g, want_g)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert [a.tobytes() for a in inputs] == before
 
 
 @pytest.mark.parametrize("block", [1, 700])
 def test_decode_identical_at_any_block_size(block, rng, monkeypatch):
-    """Blocked f and in-place path permutation give the bytes of one block."""
+    """Reading a node's LLRs in frame blocks gives the bytes of one block, on
+    both sides of the fan-out rule: L = 2 never fans out, L = 3 is the
+    smallest list that does."""
     code = pk.select_frozen(pk.bec_reliability(8, 0.4), 150, crc_width=32)
     _, llrs = make_noisy_frames(code, 20, 2.0, rng, crc=pk.CRC32)
-    configs = [dict(L=1), dict(L=8, q=4, crc=pk.CRC32), dict(L=4, theta=128),
+    configs = [dict(L=1), dict(L=2), dict(L=3), dict(L=8, q=4, crc=pk.CRC32),
+               dict(L=32, q=4, crc=pk.CRC32), dict(L=4, theta=128),
                dict(L=8, schedule="dnc"), dict(L=4, schedule="bitwise")]
     monkeypatch.setattr(decoder, "_BLOCK_LLRS", 1 << 30)
     want = [decoder.decode_frames(code, llrs, **cfg) for cfg in configs]
