@@ -33,7 +33,8 @@ def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 def draw_frames(seed: int, start: int, count: int, payload_bits: int, channel: str,
                 N: int):
     """(payloads, noise) of frames [start, start+count): from each
-    frame_rng(seed, i), payload_bits bits, then one draw_noise row of N.
+    frame_rng(seed, i), payload_bits bits, then one noise row of N: standard
+    normal for 'awgn', uniform on [0, 1) for 'bec'.
 
     One generator is reset to each frame's key with counter 0, which skips
     the key setup of a new one. Payload bit j is the top bit of byte j of
@@ -49,21 +50,13 @@ def draw_frames(seed: int, start: int, count: int, payload_bits: int, channel: s
     words = -(-payload_bits // 8)
     raw = np.empty((count, words), dtype="<u8")
     noise = np.empty((count, N))
+    draw = rng.standard_normal if channel == "awgn" else rng.random
     for i, raw_row, row in zip(range(start, start + count), raw, noise):
         key[1] = i
         bitgen.state = state
         raw_row[:] = bitgen.random_raw(words)
-        draw_noise(rng, channel, row)
+        draw(out=row)
     return raw.view(np.uint8)[:, :payload_bits] >> 7, noise
-
-
-def draw_noise(rng: np.random.Generator, channel: str, out: np.ndarray) -> None:
-    """Fill `out` with one frame's channel noise: standard normal for 'awgn',
-    uniform on [0, 1) for 'bec'."""
-    if channel == "awgn":
-        rng.standard_normal(out=out)
-    else:
-        rng.random(out=out)
 
 
 def noise_sigma2(ebno_db: float, rate: float) -> float:
@@ -94,7 +87,7 @@ def check_channel(channel: str, param: float, rate: float) -> None:
 
 def noise_to_llrs(noise: np.ndarray, x, channel: str, param: float,
                   rate: float) -> np.ndarray:
-    """Turn `noise` (from draw_noise) into the LLRs of codewords x, in place.
+    """Turn `noise` (from draw_frames) into the LLRs of codewords x, in place.
 
     'awgn' computes 2 (sqrt(sigma^2) n + (1 - 2x)) / sigma^2 in that order,
     one operation at a time over the buffer; 'bec' writes 0 where n < param,
@@ -125,9 +118,7 @@ def awgn_llr(x, ebno_db: float, rate: float, rng: np.random.Generator) -> np.nda
     """
     x = as_bits(x)
     check_channel("awgn", ebno_db, rate)
-    noise = np.empty(x.shape)
-    draw_noise(rng, "awgn", noise)
-    return noise_to_llrs(noise, x, "awgn", ebno_db, rate)
+    return noise_to_llrs(rng.standard_normal(x.shape), x, "awgn", ebno_db, rate)
 
 
 def default_quantize_step(bits: int, rate: float) -> float:

@@ -142,8 +142,6 @@ def _cmd_verify_prop1(args) -> int:
         "depth": rep.depth,
         "checks": rep.checks,
         "violations": rep.violations,
-        "min_abs_margin": rep.min_abs_margin,
-        "min_rel_margin": rep.min_rel_margin,
         "min_rel_margin_log10": rep.min_rel_margin_log10,
         "pass": rep.ok,
     }
@@ -153,7 +151,7 @@ def _cmd_verify_prop1(args) -> int:
     print(f"{status}: {rep.checks} exact ordering checks over {rep.eps_count} grid points, "
           f"depth {rep.depth}; violations: {len(rep.violations)}; "
           f"min relative margin ~1e{rep.min_rel_margin_log10:+.0f} "
-          f"(exact comparisons, margins reported for information)")
+          f"(exact comparisons, the margin reported for information)")
     for v in rep.violations[:20]:
         print(f"  violated at eps={v[0]} level={v[1]} indices {v[2]} !> {v[3]}")
     return 0 if rep.ok else 2

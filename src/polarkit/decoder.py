@@ -71,10 +71,7 @@ from .patterns import FrozenPattern, NodeKind, classify_node
 
 LEAF_SPAN = 8
 
-__all__ = [
-    "LEAF_SPAN", "ModeConfig", "decode_frames", "f_llr", "leaf_metrics_rcc",
-    "aml_expand_prune", "rate0_penalty", "rate1_candidates", "repetition_candidates",
-]
+__all__ = ["LEAF_SPAN", "ModeConfig", "decode_frames", "f_llr", "aml_expand_prune"]
 
 
 def f_llr(a, b):
@@ -157,6 +154,20 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+def _checked_llrs(llrs):
+    """LLRs as float64: NaN raises ValueError, and values beyond
+    +-BEC_LLR_CLAMP are clamped in a copy, so infinite inputs give finite
+    metrics. In-range input is not copied: the walk writes only arrays it
+    made."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    lo, hi = llrs.min(initial=0.0), llrs.max(initial=0.0)
+    if np.isnan(lo):
+        raise ValueError("LLRs must not be NaN")
+    if not -BEC_LLR_CLAMP <= lo <= hi <= BEC_LLR_CLAMP:
+        llrs = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
+    return llrs
+
+
 # ---------------------------------------------------------------------------
 # Symbol tables
 
@@ -170,6 +181,10 @@ def _leaf_tables(M: int):
     bits.setflags(write=False)
     cw.setflags(write=False)
     return bits, cw
+
+
+# The 4-bit codewords as float64 columns, for the half-symbol tables
+_CW4_T = _leaf_tables(4)[1].astype(np.float64).T
 
 
 @lru_cache(maxsize=None)
@@ -186,13 +201,6 @@ def _sym_of_ve(M: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _rep_codewords(span: int):
-    """Codewords of a repetition leaf: symbol 1 sets the last input bit,
-    whose codeword is all ones. Read-only."""
-    return np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (2, span))
-
-
 # ---------------------------------------------------------------------------
 # Divide-and-conquer symbol expansion
 
@@ -206,8 +214,6 @@ class _ExpandPlan:
     """
 
     def __init__(self, pattern: FrozenPattern):
-        if pattern.has_df_pair:
-            raise ValueError("expansion plans require a DF-free pattern")
         self.pattern = pattern
         M = pattern.M
         h = M // 2
@@ -268,22 +274,18 @@ def _first_k(key, k: int, tie=None):
     return keys, _TIE_SPAN - ranks
 
 
-def leaf_metrics_rcc(llrs):
-    """Half-symbol penalty tables (t1, t2) for eight leaf LLRs.
+def _rcc_tables(a):
+    """Half-symbol penalty tables (t1, t2) of leaf LLRs a (..., 8).
 
     t1[i] is the mismatch penalty of the i-th pair-xor sub-symbol hypothesis
     against the left four LLRs; t2[i] the even sub-symbol hypothesis against
     the right four. The full-symbol penalty is t1[v] + t2[e].
     """
-    a = np.asarray(llrs, dtype=np.float64)
-    if a.shape[-1] != LEAF_SPAN:
-        raise ValueError(f"expected {LEAF_SPAN} leaf LLRs, got {a.shape[-1]}")
-    cw4 = _leaf_tables(4)[1].astype(np.float64)
 
     def half(x):
         # penalty(i) = sum(|x| over sign mismatches) = sum(relu(-x)) + cw[i] . x;
         # the two sums round apart, which can leave a zero penalty at -eps
-        pen = _relu(-x).sum(axis=-1)[..., None] + x @ cw4.T
+        pen = _relu(-x).sum(axis=-1)[..., None] + x @ _CW4_T
         return np.maximum(pen, 0.0, out=pen)
 
     return half(a[..., :4]), half(a[..., 4:])
@@ -341,10 +343,10 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     metrics over all (path, candidate) pairs survive, ties ordered by
     (metric, path index, symbol value).
 
-    Leaf LLRs are clamped to +-BEC_LLR_CLAMP, as decode_frames clamps
-    channel LLRs, so infinite inputs give finite metrics; NaN raises
-    ValueError there and here. Returns (parents, symbols, metrics); a leading
-    batch axis mirrors the input (path_metrics may be (P,) or (B, P)).
+    Leaf LLRs follow decode_frames' rule: NaN raises ValueError, and values
+    beyond +-BEC_LLR_CLAMP are clamped in a copy. Returns (parents, symbols,
+    metrics); a leading batch axis mirrors the input (path_metrics may be
+    (P,) or (B, P)).
     """
     if pattern.kind is not NodeKind.RATE_R2:
         raise ValueError("pattern must classify as a mixed (rate-R-2) node")
@@ -352,12 +354,8 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     pm = np.asarray(path_metrics, dtype=np.float64)
     single = pm.ndim == 1
     pm = np.atleast_2d(pm)
-    llr = np.clip(np.asarray(leaf_llrs, dtype=np.float64), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
-    if np.isnan(llr.sum()):
-        raise ValueError("LLRs must not be NaN")
-    llr = llr.reshape(pm.shape + (pattern.M,))
-    t1, t2 = leaf_metrics_rcc(llr)
-    pen, sym = _aml_candidates(t1, t2, _expand_plan(pattern.mask), q)
+    llr = _checked_llrs(leaf_llrs).reshape(pm.shape + (pattern.M,))
+    pen, sym = _aml_candidates(*_rcc_tables(llr), _expand_plan(pattern.mask), q)
     parents, symbols, metrics = _top_l(pm, pen, sym, L)
     if single:
         return parents[0], symbols[0], metrics[0]
@@ -368,15 +366,8 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
 # Other leaf expansions
 
 
-def rate0_penalty(alpha):
-    """Penalty of the all-zero hypothesis: sum of |llr| over negatives."""
-    a = np.asarray(alpha, dtype=np.float64)
-    return _relu(-a).sum(axis=-1)
-
-
-def repetition_candidates(alpha):
+def _rep_candidates(a):
     """(penalties, symbols) for the all-zero / all-one hypotheses."""
-    a = np.asarray(alpha, dtype=np.float64)
     if a.shape[-1] == 1:
         # one bit: summing a size-1 axis would cost more than the whole leaf
         pens = np.concatenate([_relu(-a), _relu(a)], axis=-1)
@@ -385,17 +376,14 @@ def repetition_candidates(alpha):
     return pens, np.array([0, 1], dtype=np.int64)
 
 
-def rate1_candidates(alpha):
+def _rate1_candidates(a):
     """(penalties, codewords) for the hard decision and flips of the two
     least reliable positions (first positions among equal magnitudes), each
     codeword packed into an integer, first position = MSB; candidate order
-    is the enumeration order. NaN raises ValueError, as in decode_frames."""
-    a = np.asarray(alpha, dtype=np.float64)
+    is the enumeration order."""
     lead, M = a.shape[:-1], a.shape[-1]
     aT = a.reshape(-1, M).T  # positions on axis 0
     mag = np.abs(aT, out=np.empty(aT.shape))
-    if np.isnan(mag.sum()):  # |x| sums to +inf at most: only a NaN makes it NaN
-        raise ValueError("LLRs must not be NaN")
     (m1, m2), (i1, i2) = _first_k(mag, 2)
     pens = np.stack([np.zeros_like(m1), m1, m2, m1 + m2])
     w = 1 << np.arange(M - 1, -1, -1)
@@ -414,7 +402,8 @@ def _sc_leaf(x, frozen, pm):
     information bit is its hard decision x < 0, and its penalty, min(relu(x),
     relu(-x)) = +-0, would leave pm's bytes as they are (pm starts at +0 and
     is never -0); each frozen bit adds relu(-x) to pm in bit order. Under an
-    all-frozen left half the partial sums are zero, so g is a + b.
+    all-frozen left half the partial sums are zero, so g is a + b. In the six
+    mixed masks a half is all frozen only where the half before it is too.
     """
     if len(frozen) == 1:
         if frozen[0]:
@@ -425,9 +414,7 @@ def _sc_leaf(x, frozen, pm):
     c_left, pm = _sc_leaf(_f(a, b), frozen[:h], pm)
     c_right, pm = _sc_leaf(a + b if c_left is None else _g(a, b, c_left), frozen[h:], pm)
     if c_right is None:
-        if c_left is None:
-            return None, pm
-        c_right = np.zeros_like(c_left)
+        return None, pm
     c = np.empty(c_right.shape[:-1] + (2 * h,), dtype=np.uint8)
     c[..., 0::2] = c_right if c_left is None else c_left ^ c_right
     c[..., 1::2] = c_right
@@ -454,7 +441,8 @@ class _Leaf:
         self.start, self.span, self.kind, self.plan = start, span, kind, plan
         self.codewords = None
         if kind is NodeKind.REPETITION:
-            self.codewords = _rep_codewords(span)
+            # symbol 1 sets the last input bit, whose codeword is all ones
+            self.codewords = np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (2, span))
         elif kind is NodeKind.RATE1:
             self.codewords = _leaf_tables(span)[0]
         elif kind is not NodeKind.RATE0:
@@ -515,11 +503,6 @@ class _ListDecoder:
         # 'dnc' keeps the joint symbol decision for mixed leaves decoded alone
         self.joint = cfg.schedule == "dnc"
 
-    def _alone(self, node) -> bool:
-        """True where every path decodes by itself: list size one, or the
-        per-path continuation after the mode switching point."""
-        return self.L == 1 or node.start >= self.theta
-
     def _select(self, pens, syms):
         """List prune to the L first (pm + penalty) candidates over all
         paths; returns (symbols, parent), parent[b, j] being the path that
@@ -532,10 +515,10 @@ class _ListDecoder:
         """(penalties, symbols) of every path's candidates at a non-frozen
         leaf, by its kind; symbols broadcast against the penalties."""
         if node.kind is NodeKind.REPETITION:
-            return repetition_candidates(alpha)
+            return _rep_candidates(alpha)
         if node.kind is NodeKind.RATE1:
-            return rate1_candidates(alpha)
-        return _aml_candidates(*leaf_metrics_rcc(alpha), node.plan, self.q)
+            return _rate1_candidates(alpha)
+        return _aml_candidates(*_rcc_tables(alpha), node.plan, self.q)
 
     def _pick(self, node: _Leaf, alpha):
         """Each path's own best candidate at a non-frozen leaf where paths
@@ -568,14 +551,14 @@ class _ListDecoder:
         (c, parents): the partial sums of the surviving paths, and for each
         survivor the entry path it descends from (None where no prune moved a
         path). A path axis of length one holds one value for every path; it
-        broadcasts. A leaf where paths decode alone goes to `_pick`; no path
-        moves there."""
+        broadcasts. Where paths decode alone (L = 1, or a leaf at or past
+        theta) a leaf goes to `_pick`; no path moves there."""
         alpha = held.pop()
         if isinstance(node, _Leaf):
             if node.kind is NodeKind.RATE0:
-                self._pm = self._pm + rate0_penalty(alpha)
+                self._pm = self._pm + _relu(-alpha).sum(axis=-1)
                 return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
-            if self._alone(node):
+            if self.L == 1 or node.start >= self.theta:
                 return self._pick(node, alpha), None
             sym, parent = self._select(*self._expand(node, alpha))
             return node.codewords[sym], parent
@@ -602,17 +585,10 @@ class _ListDecoder:
     # -- public ----------------------------------------------------------------
 
     def decode(self, llrs, crc: CrcSpec | None = None):
-        llrs = np.asarray(llrs, dtype=np.float64)
+        llrs = _checked_llrs(llrs)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.N:
             raise ValueError(f"LLRs must be a (frames, {self.code.N}) array")
-        lo, hi = llrs.min(initial=0.0), llrs.max(initial=0.0)
-        if np.isnan(lo):
-            raise ValueError("LLRs must not be NaN")
         B = llrs.shape[0]
-        # the walk writes only arrays it made, so in-range input is walked
-        # without a copy
-        if not -BEC_LLR_CLAMP <= lo <= hi <= BEC_LLR_CLAMP:
-            llrs = np.clip(llrs, -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
         held = [llrs[:, None, :]]
         del llrs  # a clamped copy is freed after the root's last read of it
         self._rows = np.arange(B)[:, None]

@@ -153,8 +153,11 @@ def test_ordering_verifier_refuses_grid_values_outside_the_open_unit_interval():
 def test_ordering_verifier_takes_fractions_and_decimal_strings_exactly():
     exact = verify_reliability_ordering([Fraction(1, 10), Fraction(1, 3)], depth=5)
     assert verify_reliability_ordering(["0.1", "1/3"], depth=5) == exact
-    # the float 0.1 is another rational, with other margins
-    assert verify_reliability_ordering([0.1, Fraction(1, 3)], depth=5) != exact
+    # a decimal string is its own rational, not its float's: 1 - 1e-20 lies
+    # inside (0, 1), while its float is 1.0
+    assert verify_reliability_ordering(["0.99999999999999999999"], depth=5).ok
+    with pytest.raises(ValueError, match="got 1.0"):
+        verify_reliability_ordering([float("0.99999999999999999999")], depth=5)
 
 
 def test_ordering_level3_index5_above_index4():

@@ -259,6 +259,8 @@ def test_polar_code_validation():
         pk.PolarCode(2, 2, [1, 1, 1, 0])  # weight mismatch
     with pytest.raises(ValueError):
         pk.PolarCode(2, 4, [0, 0, 0, 0])  # K == N
+    with pytest.raises(ValueError, match=r"frozen_mask length must equal 2\*\*n"):
+        pk.PolarCode(2, 1, [1, 0, 1])
     code = pk.PolarCode(2, 2, [1, 0, 1, 0])
     assert code.N == 4 and code.payload_bits == 2
     assert np.array_equal(code.info_positions, [1, 3])

@@ -17,13 +17,12 @@ from polarkit.decoder import (
     _ListDecoder,
     _build_tree,
     _g,
+    _rate1_candidates,
+    _rcc_tables,
+    _rep_candidates,
     aml_expand_prune,
     decode_frames,
     f_llr,
-    leaf_metrics_rcc,
-    rate0_penalty,
-    rate1_candidates,
-    repetition_candidates,
 )
 from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern, NodeKind
 
@@ -37,11 +36,11 @@ def test_f_g_hand_values():
     # the walk's g on one frame, one path: partial sums 0 and 1
     g = _g(np.full((1, 1, 2), 2.0), np.full((1, 1, 2), -3.0), np.array([[[0, 1]]], np.uint8))
     assert np.array_equal(g, [[[-1.0, -5.0]]])
-    assert rate1_candidates(np.zeros((1, 8)))[1][0, 0] == 0  # hard(0) = 0
+    assert _rate1_candidates(np.zeros((1, 8)))[1][0, 0] == 0  # hard(0) = 0
 
 
 def test_rcc_metrics_all_positive_llrs():
-    t1, t2 = leaf_metrics_rcc(np.full(8, 10.0))
+    t1, t2 = _rcc_tables(np.full(8, 10.0))
     assert t1[0] == 0 and t2[0] == 0
     assert np.all(t1[1:] > 0) and np.all(t2[1:] > 0)
 
@@ -52,7 +51,7 @@ def test_rcc_metrics_match_bruteforce(rng):
     cw4 = matrix_encode(nib_bits)
     for _ in range(200):
         llr = rng.standard_normal(8) * 3
-        t1, t2 = leaf_metrics_rcc(llr)
+        t1, t2 = _rcc_tables(llr)
         for half, table in ((llr[:4], t1), (llr[4:], t2)):
             hard = (half < 0)
             want = (np.abs(half) * (cw4 != hard)).sum(axis=1)
@@ -61,14 +60,9 @@ def test_rcc_metrics_match_bruteforce(rng):
 
 def test_rcc_zero_llr_creates_ties():
     llr = np.array([0.0, 1, 1, 1, 1, 1, 1, 1])
-    t1, _ = leaf_metrics_rcc(llr)
+    t1, _ = _rcc_tables(llr)
     # hypotheses differing only in the bit measured by the zeroed position tie
     assert len(np.unique(t1)) < 16
-
-
-def test_rcc_arity_check():
-    with pytest.raises(ValueError):
-        leaf_metrics_rcc(np.zeros(7))
 
 
 @pytest.mark.parametrize("pattern", RATE_R2_PATTERNS)
@@ -115,29 +109,37 @@ def test_aml_validation(rng):
 def test_aml_expand_prune_clamps_infinite_llrs():
     # clamped as decode_frames clamps them: finite metrics, not NaN
     fp = FrozenPattern.from_string("FDDDDDDD")
-    got = aml_expand_prune(np.zeros(1), [[-np.inf, 1, 1, 1, 1, 1, 1, 1]], fp, 4, 4)
-    want = aml_expand_prune(np.zeros(1), [[-BEC_LLR_CLAMP, 1, 1, 1, 1, 1, 1, 1]], fp, 4, 4)
-    assert np.isfinite(got[2]).all()
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for sign in (-1, 1):
+        got = aml_expand_prune(np.zeros(1), [[sign * np.inf, 1, 1, 1, 1, 1, 1, -np.inf]],
+                               fp, 4, 4)
+        want = aml_expand_prune(np.zeros(1), [[sign * BEC_LLR_CLAMP, 1, 1, 1, 1, 1, 1,
+                                               -BEC_LLR_CLAMP]], fp, 4, 4)
+        assert np.isfinite(got[2]).all()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_rate0_penalty_example():
+    # an all-frozen leaf adds the sum of |llr| over its negatives to the path
+    # metric; f of each pair with a larger positive partner is the pair's
+    # first LLR, and the all-data right leaf's hard decision adds nothing
+    code = pk.PolarCode(4, 8, [1] * 8 + [0] * 8)
     alpha = np.array([1.0, -2, 3, -4, 1, 1, 1, 1])
-    assert rate0_penalty(alpha) == 6.0
+    llrs = np.stack([alpha, np.full(8, 100.0)], axis=-1).reshape(1, 16)
+    assert decode_frames(code, llrs, L=1)[1].tolist() == [6.0]
 
 
 def test_repetition_candidates_example():
-    pens, syms = repetition_candidates(np.ones((1, 8)))
+    pens, syms = _rep_candidates(np.ones((1, 8)))
     assert pens[0].tolist() == [0.0, 8.0]
     assert syms.tolist() == [0, 1]
-    pens, _ = repetition_candidates(np.array([[-2.0], [3.0], [0.0]]))  # single bits
+    pens, _ = _rep_candidates(np.array([[-2.0], [3.0], [0.0]]))  # single bits
     assert pens.tolist() == [[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]]
 
 
 def test_rate1_hard_decision_survivor(rng):
     alpha = np.array([[3.0, -1.5, 2.5, -4.0, 0.5, 6.0, -2.0, 1.0]])
-    pens, cws = rate1_candidates(alpha)
+    pens, cws = _rate1_candidates(alpha)
     assert pens[0, 0] == 0.0  # pure hard decision first
     # its packed codeword unpacks to the hard decision word
     from polarkit.decoder import _leaf_tables
@@ -577,6 +579,8 @@ def test_mode_config_validation():
         ModeConfig(mode="mode4_1", L=4)  # theta missing
     with pytest.raises(ValueError):
         ModeConfig(mode="warp", L=1)
+    with pytest.raises(ValueError, match="schedule must be one of"):
+        ModeConfig.custom(L=4, schedule="warp")
     for L in (0, -1):
         with pytest.raises(ValueError):
             ModeConfig.custom(L=L)

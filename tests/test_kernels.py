@@ -19,10 +19,10 @@ from polarkit.decoder import (
     _aml_candidates,
     _expand_plan,
     _g,
+    _rate1_candidates,
+    _rcc_tables,
     aml_expand_prune,
     f_llr,
-    leaf_metrics_rcc,
-    rate1_candidates,
 )
 from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern
 
@@ -114,7 +114,7 @@ def test_aml_candidates_match_sort_oracle(pattern, q, kind, B, A, seed):
     plan = _expand_plan(FrozenPattern.from_string(pattern).mask)
     # clamped as the decoder clamps: ±inf would give inf - inf = NaN table entries
     llr = np.clip(draw_llrs(kind, (B, A, 8), rng), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
-    t1, t2 = leaf_metrics_rcc(llr)
+    t1, t2 = _rcc_tables(llr)
     assert_same(_aml_candidates(t1, t2, plan, q), oracle_aml_candidates(t1, t2, plan, q))
 
 
@@ -128,7 +128,7 @@ def test_aml_expand_prune_matches_sort_oracle(pattern, q, kind, L, seed):
     pm = rng.integers(0, 4, (B, A)).astype(np.float64)
     llr = draw_llrs(kind, (B, A, 8), rng)
     # aml_expand_prune clamps leaf LLRs as decode_frames clamps channel LLRs
-    t1, t2 = leaf_metrics_rcc(np.clip(llr, -BEC_LLR_CLAMP, BEC_LLR_CLAMP))
+    t1, t2 = _rcc_tables(np.clip(llr, -BEC_LLR_CLAMP, BEC_LLR_CLAMP))
     pen, sym = oracle_aml_candidates(t1, t2, _expand_plan(fp.mask), q)
     flat = (pm[:, :, None] + pen).reshape(B, -1)
     order = np.argsort(flat, axis=1, kind="stable")[:, :L]
@@ -142,25 +142,23 @@ def test_aml_expand_prune_matches_sort_oracle(pattern, q, kind, L, seed):
        st.integers(0, 2**32 - 1))
 def test_rate1_candidates_match_sort_oracle(kind, M, rows, seed):
     alpha = draw_llrs(kind, (rows, M), np.random.default_rng(seed))
-    assert_same(rate1_candidates(alpha), oracle_rate1_candidates(alpha))
+    assert_same(_rate1_candidates(alpha), oracle_rate1_candidates(alpha))
 
 
 def test_rate1_all_equal_and_infinite_rows():
     # every magnitude tied: the first two positions flip, as a stable sort gives
     for value in (0.0, 2.5, np.inf, -np.inf):
         alpha = np.full((3, 2, 8), value)
-        got = rate1_candidates(alpha)
+        got = _rate1_candidates(alpha)
         assert_same(got, oracle_rate1_candidates(alpha))
         assert got[1][0, 0, 1] != got[1][0, 0, 2]  # two distinct flips
     alpha = np.array([[np.inf, 1.0, np.inf, np.inf, -np.inf, np.inf, np.inf, np.inf]])
-    assert_same(rate1_candidates(alpha), oracle_rate1_candidates(alpha))
+    assert_same(_rate1_candidates(alpha), oracle_rate1_candidates(alpha))
 
 
 def test_leaf_kernels_refuse_nan():
     llr = np.arange(8.0)
     llr[0] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
-        rate1_candidates(llr)
     with pytest.raises(ValueError, match="NaN"):
         aml_expand_prune(np.zeros(1), llr[None], FrozenPattern.from_string("FDDDDDDD"), 4, 4)
 
@@ -270,7 +268,7 @@ def test_decode_identical_with_oracle_kernels(llr_kind, rng, monkeypatch):
                dict(L=8, q=8, schedule="dnc"), dict(L=4, schedule="bitwise")]
     got = [decoder.decode_frames(code, llrs, crc=spec, **cfg) for cfg in configs]
     monkeypatch.setattr(decoder, "_aml_candidates", oracle_aml_candidates)
-    monkeypatch.setattr(decoder, "rate1_candidates", oracle_rate1_candidates)
+    monkeypatch.setattr(decoder, "_rate1_candidates", oracle_rate1_candidates)
     monkeypatch.setattr(decoder, "_f", oracle_f_llr)  # the tree walk's f
     want = [decoder.decode_frames(code, llrs, crc=spec, **cfg) for cfg in configs]
     for (u1, pm1, ok1), (u2, pm2, ok2) in zip(got, want):

@@ -70,5 +70,7 @@ def test_test_only_wrappers_are_gone():
             (patterns, "TWO_BIT_PATTERNS"), (patterns, "FOUR_BIT_PATTERNS"),
             (patterns, "EIGHT_BIT_PATTERNS"), (patterns, "SIXTEEN_BIT_PATTERNS"),
             (decoder.ModeConfig, "mode4"), (decoder.ModeConfig, "mode2"),
-            (costs, "pattern_cost")]
+            (costs, "pattern_cost"), (decoder, "rate0_penalty"),
+            (decoder, "repetition_candidates"), (decoder, "rate1_candidates"),
+            (decoder, "leaf_metrics_rcc")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []

@@ -48,6 +48,10 @@ def test_beta_gamma_decomposition():
     fp = FrozenPattern.from_string("DDDDDDDD")
     assert (fp.beta, fp.gamma) == (0, 4)
     assert FrozenPattern.from_string("DFDDDDDD").has_df_pair
+    with pytest.raises(ValueError, match="pattern length must be even"):
+        FrozenPattern.from_mask([1, 0, 0])
+    with pytest.raises(ValueError, match="only 'F' and 'D'"):
+        FrozenPattern.from_string("FDFX")
 
 
 def test_pair_counts_cover_all_pairs():
@@ -64,6 +68,8 @@ def test_extract_patterns_bec_code():
     assert census <= set(CATALOGS[8])
     with pytest.raises(ValueError):
         pk.extract_patterns(code, 3)
+    with pytest.raises(ValueError, match="M must divide the code length"):
+        pk.extract_patterns(pk.PolarCode(2, 2, [1, 0, 1, 0]), 8)
 
 
 def test_bec_codes_have_no_df_pairs():

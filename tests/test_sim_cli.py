@@ -22,7 +22,7 @@ from polarkit.channel import awgn_llr, default_quantize_step, frame_rng, noise_t
 from polarkit.cli import _grid, main
 from polarkit.core import CRC32
 from polarkit.decoder import ModeConfig
-from polarkit import sim
+from polarkit import construction, sim
 from polarkit.sim import (
     SimPoint,
     points_to_csv,
@@ -456,28 +456,64 @@ def test_cli_patterns_bad_m_fails_before_any_output(small_code, capsys):
 
 
 def test_cli_cost_row(tmp_path, capsys):
-    assert main(["cost", "--method", "lcaml", "--m", "8", "--q", "4"]) == 0
+    out = tmp_path / "c.json"
+    assert main(["cost", "--method", "lcaml", "--m", "8", "--q", "4", "--json", str(out)]) == 0
     text = capsys.readouterr().out
     assert "80 multiplications" in text and "32-to-4" in text and "4 8-to-4" in text
+    doc = json.loads(out.read_text())
+    assert (doc["method"], doc["M"], doc["q"], doc["multiplications"]) == ("lcaml", 8, 4, 80)
 
 
-def test_cli_verify_prop1_small(capsys):
+def test_cli_verify_prop1_small(tmp_path, capsys):
+    out = tmp_path / "v.json"
     rv = main(["verify-prop1", "--eps-start", "0.05", "--eps-stop", "0.95",
-               "--eps-step", "0.05", "--depth", "4"])
+               "--eps-step", "0.05", "--depth", "4", "--json", str(out)])
     assert rv == 0
     assert "PASS" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is True and doc["violations"] == [] and doc["depth"] == 4
+    assert set(doc) == {"grid", "depth", "checks", "violations", "min_rel_margin_log10", "pass"}
     # a descending grid is the same points, walked down
     assert main(["verify-prop1", "--eps-start", "0.95", "--eps-stop", "0.05",
                  "--eps-step", "-0.05", "--depth", "4"]) == 0
     assert "over 19 grid points" in capsys.readouterr().out
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_verify_prop1_reports_a_wrong_order(tmp_path, capsys, monkeypatch):
+    # a claimed order the recursion contradicts is a violation: it is listed,
+    # the JSON report fails, and the command exits 2
+    monkeypatch.setattr(construction, "ORDER_8", construction.ORDER_8[::-1])
+    out = tmp_path / "v.json"
+    assert main(["verify-prop1", "--eps-start", "0.5", "--eps-stop", "0.5",
+                 "--eps-step", "0.1", "--depth", "3", "--json", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL: ") and lines[1].startswith("  violated at eps=0.5 level=3 ")
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False and len(doc["violations"]) == len(lines) - 1 == 7
+
+
+def test_cli_usage_errors(tmp_path, small_code, capsys):
     assert main(["construct", "--channel", "bec", "--n", "10", "--k", "5",
                  "--param", "0.5", "--out", str(tmp_path / "x.json")]) == 2
     assert main(["bogus"]) == 1
     assert main(["simulate", "--code", str(tmp_path / "missing.json"),
                  "--snr", "1.0"]) == 2
+    capsys.readouterr()
+    # each channel's design parameter is required
+    for channel, message in (("bec", "--param (erasure probability) required for bec"),
+                             ("awgn", "--design-snr required for awgn")):
+        assert main(["construct", "--channel", channel, "--n", "64", "--k", "32",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    # a code file may carry a CRC only of the simulator's 32-bit convention
+    _, codefile = small_code
+    crc8 = tmp_path / "crc8.json"
+    crc8.write_text(json.dumps({**json.loads(codefile.read_text()), "crc_width": 8}))
+    assert main(["simulate", "--code", str(crc8), "--snr", "2.0", "--frames", "64",
+                 "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: only the 32-bit CRC convention is defined for simulation"]
+    assert not any(tmp_path.glob("sim*"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,6 +586,8 @@ def test_cli_unwritable_output_fails_before_any_work(argv, tmp_path, small_code,
     ["--snr", "1e9999999"],
     ["--snr", "1/3"],
     ["--snr", "2.0", "--mode", "mode4", "--L", "100000"],  # a 3.3e9-LLR stop batch
+    ["--snr", "2.0", "--eps", "0.3"],  # both channels' grids
+    ["--seed", "2"],  # neither
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_simulate_bad_inputs_exit_2(extra, tmp_path, small_code, capsys):
@@ -710,12 +748,15 @@ def test_cli_construct_bad_design_snr_exits_2(snr, tmp_path, capsys):
     ({"K": "8"}, "field 'K' has the wrong type: '8'"),
     ({"crc_width": "x"}, "field 'crc_width' has the wrong type: 'x'"),
     (None, "does not hold a JSON object"),
+    ({"frozen_mask": ...}, "has no field 'frozen_mask'"),  # ... drops the field
 ])
 def test_cli_malformed_code_file_exits_2(cmd, edit, message, tmp_path, small_code, capsys):
     _, codefile = small_code
     doc = json.loads(codefile.read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps([doc] if edit is None else {**doc, **edit}))
+    if edit is not None:
+        doc = {k: v for k, v in {**doc, **edit}.items() if v is not ...}
+    bad.write_text(json.dumps([doc] if edit is None else doc))
     out = ["--out", str(tmp_path / "sim")] if cmd[0] == "simulate" else []
     assert main([cmd[0], "--code", str(bad), *cmd[1:], *out]) == 2
     captured = capsys.readouterr()
