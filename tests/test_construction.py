@@ -14,6 +14,7 @@ from polarkit.channel import noise_sigma2
 from polarkit.construction import (
     ORDER_16,
     TAU_X_MAX,
+    _exact_eps,
     _mask_from_hex,
     _mask_to_hex,
     _tau_inverse_log,
@@ -153,6 +154,9 @@ def test_ordering_verifier_refuses_grid_values_outside_the_open_unit_interval():
 def test_ordering_verifier_takes_fractions_and_decimal_strings_exactly():
     exact = verify_reliability_ordering([Fraction(1, 10), Fraction(1, 3)], depth=5)
     assert verify_reliability_ordering(["0.1", "1/3"], depth=5) == exact
+    # a float is taken at its exact binary value, not through its repr: the
+    # float 0.1 is another rational than the decimal 0.1
+    assert _exact_eps(0.1) == Fraction(0.1) != Fraction(1, 10)
     # a decimal string is its own rational, not its float's: 1 - 1e-20 lies
     # inside (0, 1), while its float is 1.0
     assert verify_reliability_ordering(["0.99999999999999999999"], depth=5).ok
