@@ -18,6 +18,7 @@ plain recursions wherever doubles can express them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -212,8 +213,8 @@ def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
     * the 16-entry order including its cross comparisons (i >= 4)
 
     Violations are reported as (eps, level, larger_index, smaller_index) with
-    1-based indices. The least relative margin's order of magnitude is
-    reported for information only.
+    1-based indices. The least relative margin (larger - smaller) / larger
+    is reported, as its log10 to two decimals, for information only.
     """
     depth = as_count("depth", depth, 1, 10)
     violations = []
@@ -236,8 +237,10 @@ def verify_reliability_ordering(eps_grid, depth: int = 8) -> OrderingReport:
                 if diff <= 0:
                     violations.append((float(eps), level, hi + 1, lo + 1))
                     continue
-                min_rel_l10 = min(min_rel_l10,
-                                  (diff.bit_length() - num[hi].bit_length()) / log2_10)
+                # log2(diff / num[hi]) exceeds this bound from bit lengths; the
+                # exact log is taken only where the bound lies below the least so far
+                if diff.bit_length() - 1 - num[hi].bit_length() < min_rel_l10 * log2_10:
+                    min_rel_l10 = min(min_rel_l10, math.log10(diff) - math.log10(num[hi]))
     return OrderingReport(len(grid), depth, checks, violations, round(min_rel_l10, 2))
 
 

@@ -183,8 +183,8 @@ def _leaf_tables(M: int):
     return bits, cw
 
 
-# The 4-bit codewords as float64 columns, for the half-symbol tables
-_CW4_T = _leaf_tables(4)[1].astype(np.float64).T
+# Each 4-bit codeword's index among bit-vector sums whose index bit j is position j
+_CW4_ORDER = (_leaf_tables(4)[1] << np.arange(4)).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -281,14 +281,15 @@ def _rcc_tables(a):
     against the left four LLRs; t2[i] the even sub-symbol hypothesis against
     the right four. The full-symbol penalty is t1[v] + t2[e].
     """
-
-    def half(x):
-        # penalty(i) = sum(|x| over sign mismatches) = sum(relu(-x)) + cw[i] . x;
-        # the two sums round apart, which can leave a zero penalty at -eps
-        pen = _relu(-x).sum(axis=-1)[..., None] + x @ _CW4_T
-        return np.maximum(pen, 0.0, out=pen)
-
-    return half(a[..., :4]), half(a[..., 4:])
+    # relu(-x) where a codeword has a 0, relu(x) where it has a 1: |x| over
+    # sign mismatches in nonnegative terms, added in position order
+    x = a.reshape(-1, 8).T  # positions on axis 0
+    r = np.stack([_relu(-x), _relu(x)]).reshape(2, 2, 4, -1)  # (bit, half, position, row)
+    pen = r[:, :, 0]
+    for j in range(1, 4):  # position j's two terms on every sum so far
+        pen = (r[:, None, :, j] + pen).reshape(2 << j, 2, x.shape[1])
+    t1, t2 = pen[_CW4_ORDER].transpose(1, 2, 0)
+    return t1.reshape(a.shape[:-1] + (16,)), t2.reshape(a.shape[:-1] + (16,))
 
 
 def _aml_candidates(t1, t2, plan: _ExpandPlan, q: int):
@@ -343,18 +344,23 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
     metrics over all (path, candidate) pairs survive, ties ordered by
     (metric, path index, symbol value).
 
-    Leaf LLRs follow decode_frames' rule: NaN raises ValueError, and values
-    beyond +-BEC_LLR_CLAMP are clamped in a copy. Returns (parents, symbols,
-    metrics); a leading batch axis mirrors the input (path_metrics may be
-    (P,) or (B, P)).
+    path_metrics is (P,) or (B, P), and leaf_llrs has its shape plus (M,);
+    any other shape raises ValueError. Leaf LLRs follow decode_frames' rule:
+    NaN raises ValueError, and values beyond +-BEC_LLR_CLAMP are clamped in a
+    copy. Returns (parents, symbols, metrics); a leading batch axis mirrors
+    the input.
     """
     if pattern.kind is not NodeKind.RATE_R2:
         raise ValueError("pattern must classify as a mixed (rate-R-2) node")
     q, L = as_count("q", q, 1), as_count("L", L, 1)
     pm = np.asarray(path_metrics, dtype=np.float64)
+    llr = _checked_llrs(leaf_llrs)
+    if pm.ndim not in (1, 2) or llr.shape != pm.shape + (pattern.M,):
+        raise ValueError(f"path metrics of shape (P,) or (B, P) and leaf LLRs of their shape "
+                         f"plus ({pattern.M},) expected, got {pm.shape} and {llr.shape}")
     single = pm.ndim == 1
-    pm = np.atleast_2d(pm)
-    llr = _checked_llrs(leaf_llrs).reshape(pm.shape + (pattern.M,))
+    if single:
+        pm, llr = pm[None], llr[None]
     pen, sym = _aml_candidates(*_rcc_tables(llr), _expand_plan(pattern.mask), q)
     parents, symbols, metrics = _top_l(pm, pen, sym, L)
     if single:

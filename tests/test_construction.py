@@ -15,6 +15,7 @@ from polarkit.construction import (
     ORDER_16,
     TAU_X_MAX,
     _exact_eps,
+    _level_pairs,
     _mask_from_hex,
     _mask_to_hex,
     _tau_inverse_log,
@@ -162,6 +163,25 @@ def test_ordering_verifier_takes_fractions_and_decimal_strings_exactly():
     assert verify_reliability_ordering(["0.99999999999999999999"], depth=5).ok
     with pytest.raises(ValueError, match="got 1.0"):
         verify_reliability_ordering([float("0.99999999999999999999")], depth=5)
+
+
+def test_ordering_margin_is_exact_to_its_two_decimals():
+    # the float 0.1 and the decimal 0.1 lie about 5.6e-17 apart, relative, so
+    # their least margins agree in the two decimals reported
+    low = [verify_reliability_ordering([e], depth=8).min_rel_margin_log10
+           for e in (0.1, Fraction(1, 10))]
+    assert low == [-5.56, -5.56]
+    # brute force: every claimed comparison's relative margin, exact, in log10
+    grid = [Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)]
+    least = 0.0
+    for eps in grid:
+        z = [eps]
+        for level in range(1, 9):
+            z = [v for p in z for v in (2 * p - p * p, p * p)]
+            for hi, lo in _level_pairs(level):
+                r = (z[hi] - z[lo]) / z[hi]
+                least = min(least, math.log10(r.numerator) - math.log10(r.denominator))
+    assert verify_reliability_ordering(grid, depth=8).min_rel_margin_log10 == round(least, 2)
 
 
 def test_ordering_level3_index5_above_index4():

@@ -27,7 +27,14 @@ from polarkit.decoder import (
 from polarkit.patterns import RATE_R2_PATTERNS, FrozenPattern, NodeKind
 
 from conftest import make_noisy_frames
-from oracle import bruteforce_symbol_topL, exhaustive_ml, matrix_encode, plain_sc, valid_symbols
+from oracle import (
+    _mismatch_penalty,
+    bruteforce_symbol_topL,
+    exhaustive_ml,
+    matrix_encode,
+    plain_sc,
+    valid_symbols,
+)
 
 
 def test_f_g_hand_values():
@@ -45,17 +52,28 @@ def test_rcc_metrics_all_positive_llrs():
     assert np.all(t1[1:] > 0) and np.all(t2[1:] > 0)
 
 
-def test_rcc_metrics_match_bruteforce(rng):
+_CW4 = matrix_encode(((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8))
+# leaf LLRs as the walk meets them: the clamp, g's sums of it, both zeros and
+# finite values between
+_LEAF_LLR = st.one_of(st.sampled_from([BEC_LLR_CLAMP, -BEC_LLR_CLAMP, 2 * BEC_LLR_CLAMP,
+                                       -2 * BEC_LLR_CLAMP, 0.0, -0.0]),
+                      st.floats(-4 * BEC_LLR_CLAMP, 4 * BEC_LLR_CLAMP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_LEAF_LLR, min_size=8, max_size=8), min_size=1, max_size=4))
+# the leaf of test_aml_expand_prune_clamps_infinite_llrs' -inf call, clamped,
+# and a leaf half (the first four) met in a BEC decode, whose zero penalty a
+# form that cancels two sums gets wrong
+@example([[-BEC_LLR_CLAMP, 1, 1, 1, 1, 1, 1, 1]])
+@example([[-2e30, -1e30, -2e30, 2e30, 0.0, -0.0, 1e30, -3.0]])
+def test_rcc_metrics_match_bruteforce(rows):
     # each table entry equals the mismatch sum of the sub-symbol's codeword
-    nib_bits = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(np.uint8)
-    cw4 = matrix_encode(nib_bits)
-    for _ in range(200):
-        llr = rng.standard_normal(8) * 3
-        t1, t2 = _rcc_tables(llr)
-        for half, table in ((llr[:4], t1), (llr[4:], t2)):
-            hard = (half < 0)
-            want = (np.abs(half) * (cw4 != hard)).sum(axis=1)
-            assert np.allclose(table, want, atol=1e-12)
+    # exactly: an LLR at the clamp absorbs no other position's term
+    llr = np.array(rows)
+    t1, t2 = _rcc_tables(llr)
+    for half, table in ((llr[:, :4], t1), (llr[:, 4:], t2)):
+        assert np.array_equal(table, _mismatch_penalty(half, _CW4))
 
 
 def test_rcc_zero_llr_creates_ties():
@@ -106,6 +124,16 @@ def test_aml_validation(rng):
         aml_expand_prune(np.zeros(2), rng.standard_normal((2, 8)), bad, 2, 2)
 
 
+@pytest.mark.parametrize("pm_shape, llr_shape", [((1,), (2, 4)), ((2, 1), (1, 16)), ((), (8,)),
+                                                  ((1, 1, 1), (1, 1, 1, 8)), ((2,), (2, 4))])
+def test_aml_expand_prune_refuses_leaf_llrs_of_another_shape(pm_shape, llr_shape):
+    # a size that fits is not enough: (2, 4) is no leaf of eight, and (1, 16)
+    # is no pair of frames
+    with pytest.raises(ValueError, match="leaf LLRs of their shape"):
+        aml_expand_prune(np.zeros(pm_shape), np.ones(llr_shape),
+                         FrozenPattern.from_string("FDDDDDDD"), 4, 4)
+
+
 def test_aml_expand_prune_clamps_infinite_llrs():
     # clamped as decode_frames clamps them: finite metrics, not NaN
     fp = FrozenPattern.from_string("FDDDDDDD")
@@ -117,6 +145,11 @@ def test_aml_expand_prune_clamps_infinite_llrs():
         assert np.isfinite(got[2]).all()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+    # the clamped LLR keeps the other positions' terms: -inf ranks as -3 does
+    for first in (-np.inf, -3.0):
+        _, symbols, metrics = aml_expand_prune(np.zeros(1), [[first, 1, 1, 1, 1, 1, 1, 1]],
+                                               fp, 4, 4)
+        assert symbols.tolist() == [8, 32, 42, 64] and metrics.tolist() == [1, 1, 1, 1]
 
 
 def test_rate0_penalty_example():

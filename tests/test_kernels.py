@@ -112,7 +112,7 @@ def assert_same(got, want):
 def test_aml_candidates_match_sort_oracle(pattern, q, kind, B, A, seed):
     rng = np.random.default_rng(seed)
     plan = _expand_plan(FrozenPattern.from_string(pattern).mask)
-    # clamped as the decoder clamps: ±inf would give inf - inf = NaN table entries
+    # clamped as the decoder clamps
     llr = np.clip(draw_llrs(kind, (B, A, 8), rng), -BEC_LLR_CLAMP, BEC_LLR_CLAMP)
     t1, t2 = _rcc_tables(llr)
     assert_same(_aml_candidates(t1, t2, plan, q), oracle_aml_candidates(t1, t2, plan, q))

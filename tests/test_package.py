@@ -74,3 +74,19 @@ def test_test_only_wrappers_are_gone():
             (decoder, "repetition_candidates"), (decoder, "rate1_candidates"),
             (decoder, "leaf_metrics_rcc")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
+
+
+def test_no_blas_backed_call_in_the_package():
+    # a BLAS product's last bits depend on the kernel the host's BLAS picks,
+    # so results would too; the package computes with plain ufuncs
+    blas = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+    found = []
+    for path in sorted(Path(polarkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in blas:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
