@@ -21,15 +21,16 @@ frozen pattern and the schedule:
               divide-and-conquer unit (exhaustive when q is large enough).
 * 'bitwise' - no shortcuts; single-bit leaves (reference schedule).
 
-Path state lives in parallel arrays over (frame batch, list). Nothing keeps
-a global record of prunes: each subtree returns, with its partial sums, the
-path each survivor descends from, and its parent node applies those indices
-to what it still holds: it reads its LLRs in that order after the left
-child, and reorders the left child's partial sums after the right child. The
-walk carries no input bits: the transform is its own inverse, so u is the
-transform of the root's partial sums. One walk serves the list and lone
-paths; each leaf decides which it is. Where paths decode alone (list size
-one, or a leaf that starts at or past the mode4_1 switching point) it takes
+Path state lives in parallel arrays over (frame batch, list), and the walk
+holds none of it between calls: each subtree returns, with its partial sums,
+the survivors' path metrics and the path each survivor descends from, and
+its parent node applies those indices to what it still holds: it reads its
+LLRs in that order after the left child, and reorders the left child's
+partial sums after the right child. The walk carries no input bits: the
+transform is its own inverse, so u is the transform of the root's partial
+sums. One walk serves the list and lone paths, and each leaf decodes in one
+step. Paths decode alone from `ModeConfig.switch_point` on: everywhere at
+list size one, else from the mode4_1 switching point. There a leaf takes
 every path's own best candidate, keyed by its penalty alone: no path moves,
 and a rate-1 leaf is its hard decision. So at list size one 'bitwise' is
 classic SC on any LLRs, and 'fast' differs from it only where the rate-1 and
@@ -214,7 +215,6 @@ class _ExpandPlan:
     """
 
     def __init__(self, pattern: FrozenPattern):
-        self.pattern = pattern
         M = pattern.M
         h = M // 2
         fd = [i - 1 for i in pattern.omega01]
@@ -374,11 +374,7 @@ def aml_expand_prune(path_metrics, leaf_llrs, pattern: FrozenPattern, q: int, L:
 
 def _rep_candidates(a):
     """(penalties, symbols) for the all-zero / all-one hypotheses."""
-    if a.shape[-1] == 1:
-        # one bit: summing a size-1 axis would cost more than the whole leaf
-        pens = np.concatenate([_relu(-a), _relu(a)], axis=-1)
-    else:
-        pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
+    pens = np.stack([_relu(-a).sum(axis=-1), _relu(a).sum(axis=-1)], axis=-1)
     return pens, np.array([0, 1], dtype=np.int64)
 
 
@@ -404,7 +400,7 @@ def _sc_leaf(x, frozen, pm):
     (..., n) and its mask `frozen` (1 = frozen); returns (partial sums, pm),
     partial sums None where every bit is frozen.
 
-    The arithmetic is the bit-serial tree walk's: f and g as in `_walk`; an
+    The arithmetic is the bit-serial tree walk's: f and g as in `_read`; an
     information bit is its hard decision x < 0, and its penalty, min(relu(x),
     relu(-x)) = +-0, would leave pm's bytes as they are (pm starts at +0 and
     is never -0); each frozen bit adds relu(-x) to pm in bit order. Under an
@@ -436,16 +432,18 @@ class _Leaf:
 
     kind is RATE0 (fixed penalty, nothing to decide), REPETITION (symbols 0
     and 1; also every single information bit), RATE1 (hard decision plus
-    flips) or RATE_R2 (divide-and-conquer expansion over `plan`).
+    flips) or RATE_R2 (divide-and-conquer expansion over `plan`). A 'fast'
+    RATE_R2 leaf holds its frozen mask `sc_mask`, by which paths that decode
+    alone decide it bit by bit (`_sc_leaf`); None keeps the joint decision.
     `codewords` maps the values the leaf's candidates carry to its codeword:
     symbol values, or for RATE1 the packed codewords themselves.
     """
 
-    __slots__ = ("start", "span", "kind", "plan", "codewords")
+    __slots__ = ("start", "span", "kind", "plan", "sc_mask", "codewords")
 
-    def __init__(self, start, span, kind, plan=None):
+    def __init__(self, start, span, kind, plan=None, sc_mask=None):
         self.start, self.span, self.kind, self.plan = start, span, kind, plan
-        self.codewords = None
+        self.sc_mask, self.codewords = sc_mask, None
         if kind is NodeKind.REPETITION:
             # symbol 1 sets the last input bit, whose codeword is all ones
             self.codewords = np.broadcast_to(np.arange(2, dtype=np.uint8)[:, None], (2, span))
@@ -456,10 +454,10 @@ class _Leaf:
 
 
 class _Branch:
-    __slots__ = ("start", "span", "left", "right")
+    __slots__ = ("span", "left", "right")
 
-    def __init__(self, start, span, left, right):
-        self.start, self.span, self.left, self.right = start, span, left, right
+    def __init__(self, span, left, right):
+        self.span, self.left, self.right = span, left, right
 
 
 @lru_cache(maxsize=64)
@@ -477,11 +475,12 @@ def _build_tree(mask_bytes: bytes, schedule: str):
             if fp.kind is NodeKind.RATE0:
                 return _Leaf(start, span, fp.kind)
             if fp.kind is NodeKind.RATE_R2 or (schedule == "dnc" and not fp.has_df_pair):
-                return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(fp.mask))
+                return _Leaf(start, span, NodeKind.RATE_R2, _expand_plan(fp.mask),
+                             fp.mask if schedule == "fast" else None)
             if schedule == "fast" and fp.kind is not NodeKind.OTHER:
                 return _Leaf(start, span, fp.kind)
         half = span // 2
-        return _Branch(start, span, build(start, half), build(start + half, half))
+        return _Branch(span, build(start, half), build(start + half, half))
 
     return build(0, len(mask))
 
@@ -493,92 +492,78 @@ def _build_tree(mask_bytes: bytes, schedule: str):
 class _ListDecoder:
     """Decodes a batch of frames at one checked operating point (ModeConfig).
 
-    The path order lives in one place: the (c, parents) that `_walk`
-    returns for every subtree; `_pick_winner` derives u at the root. Every
-    list prune goes through `_select` and every pick of a path that decodes
-    alone through `_pick`; only rate-0 leaves change the path metrics
-    elsewhere. Between decode() entry and exit the instance holds the path
-    metrics of the current list, so one instance must not run concurrent
-    decodes; decode_frames builds a fresh instance per call.
+    The walk keeps no state: the path metrics and the path order travel with
+    the partial sums that `_walk` returns for every subtree, and
+    `_pick_winner` derives u at the root. Every leaf decodes in `_leaf`.
     """
 
     def __init__(self, code: PolarCode, cfg: ModeConfig):
         self.code, self.L, self.q = code, cfg.L, cfg.q
         self.theta = cfg.switch_point(code.N)
         self.tree = _build_tree(code.frozen_mask.tobytes(), cfg.schedule)
-        # 'dnc' keeps the joint symbol decision for mixed leaves decoded alone
-        self.joint = cfg.schedule == "dnc"
 
-    def _select(self, pens, syms):
-        """List prune to the L first (pm + penalty) candidates over all
-        paths; returns (symbols, parent), parent[b, j] being the path that
-        survivor j descends from."""
-        parent, sym_sel, self._pm = _top_l(self._pm, pens, np.broadcast_to(syms, pens.shape),
-                                           self.L)
-        return sym_sel, parent
-
-    def _expand(self, node: _Leaf, alpha):
-        """(penalties, symbols) of every path's candidates at a non-frozen
-        leaf, by its kind; symbols broadcast against the penalties."""
-        if node.kind is NodeKind.REPETITION:
-            return _rep_candidates(alpha)
+    def _leaf(self, node: _Leaf, alpha, pm):
+        """(c, parents, pm) of one leaf, as `_walk` returns them, from its
+        LLRs alpha and the path metrics pm of its entry paths. A rate-0 leaf
+        adds its fixed penalty. Below theta the list is pruned to the L first
+        (pm + penalty) candidates over all paths. From theta on paths decode
+        alone: each takes its own best candidate and no path moves. The key
+        is the penalty alone, not pm + penalty, where a rounding residue of g
+        can vanish: so it does not depend on theta, and bit by bit it is SC.
+        Ties go to the first candidate, so a rate-1 leaf is its hard
+        decision; a leaf with an `sc_mask` is decided bit by bit."""
+        if node.kind is NodeKind.RATE0:
+            c = np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8)
+            return c, None, pm + _relu(-alpha).sum(axis=-1)
+        alone = node.start >= self.theta
         if node.kind is NodeKind.RATE1:
-            return _rate1_candidates(alpha)
-        return _aml_candidates(*_rcc_tables(alpha), node.plan, self.q)
-
-    def _pick(self, node: _Leaf, alpha):
-        """Each path's own best candidate at a non-frozen leaf where paths
-        decode alone; returns the leaf's partial sums. The key is the penalty
-        alone, not pm + penalty, where a rounding residue of g can vanish: so
-        it does not depend on theta, and bit by bit it is SC. Ties go to the
-        first candidate. A mixed leaf under 'fast' is decided as classic SC
-        decides it, bit by bit (`_sc_leaf`)."""
-        if node.kind is NodeKind.RATE1:
-            # the hard decision has penalty +0.0 and comes first: it always wins
-            return (alpha < 0).view(np.uint8)
-        if node.kind is NodeKind.RATE_R2 and not self.joint:
-            c, self._pm = _sc_leaf(alpha, node.plan.pattern.mask, self._pm)
-            return c
-        pens, syms = self._expand(node, alpha)
+            if alone:
+                # the hard decision has penalty +0.0 and comes first: it always wins
+                return (alpha < 0).view(np.uint8), None, pm
+            pens, syms = _rate1_candidates(alpha)
+        elif node.kind is NodeKind.REPETITION:
+            pens, syms = _rep_candidates(alpha)
+        elif alone and node.sc_mask is not None:
+            c, pm = _sc_leaf(alpha, node.sc_mask, pm)
+            return c, None, pm
+        else:
+            pens, syms = _aml_candidates(*_rcc_tables(alpha), node.plan, self.q)
+        syms = np.broadcast_to(syms, pens.shape)
+        if not alone:
+            parents, sym, pm = _top_l(pm, pens, syms, self.L)
+            return node.codewords[sym], parents, pm
         best = pens.argmin(axis=-1)[..., None]
-        self._pm = self._pm + np.take_along_axis(pens, best, -1)[..., 0]
-        sym = np.take_along_axis(np.broadcast_to(syms, pens.shape), best, -1)[..., 0]
-        return node.codewords[sym]
+        sym = np.take_along_axis(syms, best, -1)[..., 0]
+        return node.codewords[sym], None, pm + np.take_along_axis(pens, best, -1)[..., 0]
 
-    def _walk(self, node, held):
+    def _walk(self, node, held, pm):
         """Decode the subtree under `node` from its LLRs, the one entry of
         the list `held` (an array, or at a branch a fan-out pair; see
-        `_read`), given in the path order at entry. The walk takes them out
-        of `held` and owns them from then on: where the caller keeps no
-        other reference, they are freed once their last reader is done. (A
-        plain argument stays referenced by the caller until the call
-        returns: under the name that holds g's output while the caller drops
-        its own LLRs, and before Python 3.11 on the caller's stack.) Returns
-        (c, parents): the partial sums of the surviving paths, and for each
-        survivor the entry path it descends from (None where no prune moved a
-        path). A path axis of length one holds one value for every path; it
-        broadcasts. Where paths decode alone (L = 1, or a leaf at or past
-        theta) a leaf goes to `_pick`; no path moves there."""
+        `_read`), given in the path order at entry, and from pm, the entry
+        paths' metrics. The walk takes the LLRs out of `held` and owns them
+        from then on: where the caller keeps no other reference, they are
+        freed once their last reader is done. (A plain argument stays
+        referenced by the caller until the call returns: under the name that
+        holds g's output while the caller drops its own LLRs, and before
+        Python 3.11 on the caller's stack.) Returns (c, parents, pm): the
+        partial sums of the surviving paths, for each survivor the entry path
+        it descends from (None where no prune moved a path), and the
+        survivors' metrics. A path axis of length one holds one value for
+        every path; it broadcasts."""
         alpha = held.pop()
         if isinstance(node, _Leaf):
-            if node.kind is NodeKind.RATE0:
-                self._pm = self._pm + _relu(-alpha).sum(axis=-1)
-                return np.zeros((alpha.shape[0], 1, node.span), dtype=np.uint8), None
-            if self.L == 1 or node.start >= self.theta:
-                return self._pick(node, alpha), None
-            sym, parent = self._select(*self._expand(node, alpha))
-            return node.codewords[sym], parent
-        rows = self._rows
-        c_left, p_left = self._walk(node.left, [_read(alpha)])
+            return self._leaf(node, alpha, pm)
+        c_left, p_left, pm = self._walk(node.left, [_read(alpha)], pm)
         if (type(alpha) is not tuple and alpha.shape[1] == 1 and c_left.shape[1] >= 3
                 and isinstance(node.right, _Branch)):
             right = [(alpha, c_left)]  # the list fans out: the right child's reads make g
         else:
             right = [_read(alpha, p_left, c_left)]
         del alpha  # only g, or the fan-out pair, still needs it
-        c_right, p_right = self._walk(node.right, right)
+        c_right, p_right, pm = self._walk(node.right, right, pm)
         parents = p_left
         if p_right is not None:
+            rows = np.arange(len(p_right))[:, None]
             if c_left.shape[1] != 1:
                 c_left = c_left[rows, p_right]
             parents = p_right if p_left is None else p_left[rows, p_right]
@@ -586,7 +571,7 @@ class _ListDecoder:
                      dtype=np.uint8)
         c[..., 0::2] = c_left ^ c_right
         c[..., 1::2] = c_right
-        return c, parents
+        return c, parents, pm
 
     # -- public ----------------------------------------------------------------
 
@@ -594,13 +579,10 @@ class _ListDecoder:
         llrs = _checked_llrs(llrs)
         if llrs.ndim != 2 or llrs.shape[1] != self.code.N:
             raise ValueError(f"LLRs must be a (frames, {self.code.N}) array")
-        B = llrs.shape[0]
-        held = [llrs[:, None, :]]
+        held, pm = [llrs[:, None, :]], np.zeros((len(llrs), 1))
         del llrs  # a clamped copy is freed after the root's last read of it
-        self._rows = np.arange(B)[:, None]
-        self._pm = np.zeros((B, 1))
-        c_all, _ = self._walk(self.tree, held)
-        return self._pick_winner(c_all, self._pm, crc)
+        c_all, _, pm = self._walk(self.tree, held, pm)
+        return self._pick_winner(c_all, pm, crc)
 
     def _pick_winner(self, c_all, pm_all, crc):
         """(u, metric, crc_ok) of each frame's winner from the root partial
@@ -699,10 +681,13 @@ class ModeConfig:
         return cls("custom", L=L, q=q, **kw)
 
     def switch_point(self, N: int) -> int:
-        """Where paths start to decode alone on a length-N code: theta, or N
-        without one. The one check of theta <= N."""
+        """Where paths start to decode alone on a length-N code: 0 at list
+        size one, else theta, or N without one. The one check of theta <= N,
+        made first."""
         if self.theta is not None and self.theta > N:
             raise ValueError(f"theta must lie in 0..N ({N})")
+        if self.L == 1:
+            return 0
         return N if self.theta is None else self.theta
 
     @property

@@ -127,12 +127,11 @@ def _run_chunk(code, crc, cfg: ModeConfig, channel, param, seed, batch, quant, s
 
 
 def _quantizer(quantize: tuple | None, rate: float) -> tuple | None:
-    """quantize = (bits, step), checked, with a step of None made
+    """quantize = (bits, step) with a step of None made
     default_quantize_step(bits, rate); None, no quantizer, stays None."""
     if quantize is not None:
         bits, step = quantize
         quantize = bits, default_quantize_step(bits, rate) if step is None else step
-        check_quantizer(*quantize)
     return quantize
 
 
@@ -160,7 +159,9 @@ def check_run(code: PolarCode, cfg: ModeConfig, channel: str, params, *,
                          "2**25; a smaller --L or --batch-frames gets under it")
     as_count("workers", workers, 1)
     as_count("target_fe", target_fe, 0)
-    _quantizer(quantize, code.rate)
+    quantize = _quantizer(quantize, code.rate)
+    if quantize is not None:
+        check_quantizer(*quantize)
     return batch
 
 
@@ -176,9 +177,18 @@ def simulate_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float,
     quantize = (bits, step) quantizes the LLRs; a step of None stands for
     default_quantize_step(bits, code.rate).
     """
-    batch = check_run(code, cfg, channel, (param,), crc=crc, seed=seed, target_fe=target_fe,
-                      max_frames=max_frames, batch_frames=batch_frames, workers=workers,
-                      quantize=quantize)
+    kw = dict(crc=crc, seed=seed, target_fe=target_fe, max_frames=max_frames,
+              batch_frames=batch_frames, workers=workers, quantize=quantize)
+    check_run(code, cfg, channel, (param,), **kw)
+    return _run_point(code, cfg, channel, param, **kw)
+
+
+def _run_point(code: PolarCode, cfg: ModeConfig, channel: str, param: float, *,
+               crc: CrcSpec | None = None, seed: int = 1, target_fe: int = 100,
+               max_frames: int = 100_000, batch_frames: int | None = None,
+               workers: int = 1, quantize: tuple | None = None) -> SimPoint:
+    """simulate_point of a run `check_run` has passed, unchecked."""
+    batch = default_batch_frames(code.N) if batch_frames is None else batch_frames
     quantize = _quantizer(quantize, code.rate)
     full = max(1, _CHUNK_LLRS // (cfg.L * code.N * batch))  # batches per full chunk
     workers = min(workers, -(-max_frames // (full * batch)))
@@ -256,7 +266,7 @@ def simulate_sweep(code: PolarCode, cfg: ModeConfig, channel: str, points, *,
     check_run(code, cfg, channel, points, **kw)
     out = []
     for p in points:
-        out.append(simulate_point(code, cfg, channel, p, **kw))
+        out.append(_run_point(code, cfg, channel, p, **kw))
         if progress is not None:
             progress(out[-1])
     return out

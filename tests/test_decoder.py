@@ -336,28 +336,21 @@ def test_schedules_agree_with_bitwise_at_q_ge_L(rng):
 
 @contextmanager
 def _select_log():
-    """Log (old pm, kept parents, new pm) of every list prune (`_select`)
-    and every pick of a path that decodes alone (`_pick`) while the context
-    is open, in decode order; a pick keeps every path in its place, so its
-    kept parents are arange(A)."""
+    """Log (old pm, kept parents, new pm) of every leaf (`_leaf`), rate-0
+    included, while the context is open, in decode order; a leaf where no
+    path moves keeps every path in its place, so its kept parents are
+    arange(A)."""
     log = []
-    select, pick = _ListDecoder._select, _ListDecoder._pick
+    leaf = _ListDecoder._leaf
 
-    def select_spy(self, pens, syms):
-        old = self._pm.copy()
-        sym, parent = select(self, pens, syms)
-        log.append((old, parent, self._pm.copy()))
-        return sym, parent
-
-    def pick_spy(self, node, alpha):
-        old = self._pm.copy()
-        c = pick(self, node, alpha)
-        log.append((old, np.broadcast_to(np.arange(old.shape[1]), old.shape), self._pm.copy()))
-        return c
+    def spy(self, node, alpha, pm):
+        c, parent, new = leaf(self, node, alpha, pm)
+        kept = np.broadcast_to(np.arange(pm.shape[1]), pm.shape) if parent is None else parent
+        log.append((pm, kept, new))
+        return c, parent, new
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ListDecoder, "_select", select_spy)
-        mp.setattr(_ListDecoder, "_pick", pick_spy)
+        mp.setattr(_ListDecoder, "_leaf", spy)
         yield log
 
 
@@ -369,8 +362,8 @@ _CRC4 = CrcSpec(width=4, polynomial=0x3, init=0, xor_out=0)
        st.sampled_from([(L, q) for L in (1, 2, 4, 8) for q in range(1, L + 1)]),
        st.sampled_from(("fast", "dnc", "bitwise")), st.integers(0, 4), st.booleans())
 def test_pm_monotone_and_nonnegative(seed, n, designed, list_q, schedule, quarters, with_crc):
-    # a select never lowers the metric of the path a survivor descends from:
-    # every penalty is >= 0, so pm + penalty >= pm holds exactly
+    # no leaf lowers the metric of the path a survivor descends from: every
+    # penalty is >= 0, so pm + penalty >= pm holds exactly
     code, rng = _hypothesis_code(seed, n, (1 << n) - 1, designed)
     crc = _CRC4 if with_crc and code.K > _CRC4.width else None
     L, q = list_q
@@ -378,7 +371,7 @@ def test_pm_monotone_and_nonnegative(seed, n, designed, list_q, schedule, quarte
     with _select_log() as log:
         decode_frames(code, llrs, L=L, q=q, theta=quarters * code.N // 4,
                       schedule=schedule, crc=crc)
-    assert log, "every code with K > 0 makes a select"
+    assert log, "every code has a leaf"
     for old, parent, new in log:
         rows = np.arange(old.shape[0])[:, None]
         assert np.all(new >= old[rows, parent])
@@ -401,13 +394,11 @@ def test_mode4_1_theta_zero_is_single_path_sc(rng):
 
 
 def _picks_from(node, theta):
-    """Picks a decode makes at schedule leaves starting at or after theta
-    (there every path continues alone: one pick per leaf not all frozen)."""
+    """Schedule leaves starting at or after theta, where every path
+    continues alone: the last leaves `_select_log` logs."""
     if isinstance(node, _Branch):
         return _picks_from(node.left, theta) + _picks_from(node.right, theta)
-    if node.start < theta:
-        return 0
-    return int(node.kind is not NodeKind.RATE0)
+    return int(node.start >= theta)
 
 
 @settings(max_examples=25, deadline=None)
@@ -467,17 +458,17 @@ def test_alone_rate1_leaf_is_the_hard_decision(kw, rng):
     code = pk.select_frozen(pk.bec_reliability(7, 0.4), 100)
     _, llrs = make_noisy_frames(code, 16, 1.0, rng)
     llrs[rng.random(llrs.shape) < 0.2] = 0.0  # zero LLRs decide 0
-    log, pick = [], _ListDecoder._pick
+    log, leaf = [], _ListDecoder._leaf
 
-    def spy(self, node, alpha):
-        old = self._pm.copy()
-        c = pick(self, node, alpha)
-        if node.kind is NodeKind.RATE1:
-            log.append((alpha.copy(), c, old, self._pm))
-        return c
+    def spy(self, node, alpha, pm):
+        c, parent, new = leaf(self, node, alpha, pm)
+        if node.kind is NodeKind.RATE1 and node.start >= self.theta:
+            assert parent is None
+            log.append((alpha.copy(), c, pm, new))
+        return c, parent, new
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ListDecoder, "_pick", spy)
+        mp.setattr(_ListDecoder, "_leaf", spy)
         decode_frames(code, llrs, **kw)
     assert log, "the code has rate-1 leaves past theta"
     for alpha, c, old, new in log:
@@ -634,6 +625,18 @@ def test_mode_config_validation():
         assert ModeConfig(mode).effective_theta is None
     assert ModeConfig.mode4_1(0).effective_theta == 0
     assert ModeConfig.custom(L=8, theta=64).effective_theta == 64
+
+
+def test_switch_point_is_the_one_lone_path_rule():
+    # paths decode alone everywhere at list size one, else from theta on,
+    # and nowhere without one; theta <= N is checked first, also at L = 1
+    N = 64
+    assert ModeConfig("mode1").switch_point(N) == 0
+    assert ModeConfig.custom(L=1, theta=5).switch_point(N) == 0
+    assert ModeConfig.mode4_1(theta=7).switch_point(N) == 7
+    assert ModeConfig("mode4").switch_point(N) == N
+    with pytest.raises(ValueError, match="theta"):
+        ModeConfig.custom(L=1, theta=N + 1).switch_point(N)
 
 
 def test_decode_validates_inputs(rng):

@@ -346,6 +346,21 @@ def test_fer_decreases_with_snr(small_code):
     assert fers[2] < 0.2
 
 
+def test_sweep_checks_its_run_once(small_code, monkeypatch):
+    code, _ = small_code
+    calls, check = [], sim.check_run
+
+    def counting(*args, **kw):
+        calls.append(args[3])
+        return check(*args, **kw)
+
+    monkeypatch.setattr(sim, "check_run", counting)
+    pts = simulate_sweep(code, ModeConfig.mode1(), "awgn", (1.0, 2.0, 3.0), max_frames=64,
+                         target_fe=0, batch_frames=64)
+    assert [p.snr_db for p in pts] == [1.0, 2.0, 3.0]
+    assert calls == [(1.0, 2.0, 3.0)]
+
+
 def test_crc_capacity_guard():
     code = pk.select_frozen(pk.bec_reliability(6, 0.5), 20, crc_width=0)
     with pytest.raises(ValueError):
